@@ -41,7 +41,7 @@
 //! | `MAGMA_SERVE_SLA_X` | SLA tolerance factor |
 //! | `MAGMA_SERVE_OVERHEAD_US` | virtual mapper cost per sample (µs) |
 //! | `MAGMA_SERVE_OVERLAP` | `0` makes legacy the primary ladder (both are always simulated) |
-//! | `MAGMA_SERVE_SLICE` | samples per search slice in overlap mode (result-invariant) |
+//! | `MAGMA_SERVE_SLICE` | samples per search slice (result-invariant) |
 //! | `MAGMA_SERVE_SEED` | trace/search seed |
 //! | `--scenario <file>` | run a registry scenario file instead of the builtin ladder |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |

@@ -110,12 +110,7 @@ pub fn evaluate_batch_with<P: MappingProblem + ?Sized>(
     mappings: &[Mapping],
     threads: usize,
 ) -> Vec<f64> {
-    if threads <= 1 || mappings.len() < 2 || crate::pool::on_pool_thread() {
-        return mappings.iter().map(|m| problem.evaluate(m)).collect();
-    }
-    let mut out = vec![0.0f64; mappings.len()];
-    crate::pool::submit(problem, mappings, &mut out, threads);
-    out
+    crate::pool::evaluate(problem, mappings, threads)
 }
 
 /// A short stable tag describing how parallel batches are executed, stamped

@@ -63,7 +63,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 thread_local! {
@@ -294,7 +294,7 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Lifecycle counters of the process-wide pool (see [`stats`]).
+/// Lifecycle counters of a pool registry (see [`stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker threads currently alive (0 before the first parallel batch;
@@ -310,99 +310,153 @@ pub struct PoolStats {
     pub batches: u64,
 }
 
-/// The process-wide pool registry. One pool exists at a time; submissions
-/// are serialized through this mutex (the workers are a shared resource, so
-/// two concurrent batches would time-slice the same cores anyway).
-struct Manager {
+/// A pool registry: at most one pool at a time, rebuilt when the requested
+/// width changes, plus the lifecycle counters [`PoolStats`] reports.
+/// Submissions are serialized through its mutex (the workers are a shared
+/// resource, so two concurrent batches would time-slice the same cores
+/// anyway). The batch oracle runs on one process-wide instance, which
+/// [`stats`] reads; the lifecycle tests run on private instances, so no
+/// other test in the binary can resize the pool they assert on.
+pub(crate) struct Manager {
+    state: Mutex<ManagerState>,
+}
+
+struct ManagerState {
     pool: Option<Pool>,
     builds: u64,
     batches: u64,
 }
 
-static MANAGER: OnceLock<Mutex<Manager>> = OnceLock::new();
+/// The process-wide registry behind [`evaluate`] and [`stats`].
+static GLOBAL: Manager = Manager::new();
 
-fn manager() -> &'static Mutex<Manager> {
-    MANAGER.get_or_init(|| Mutex::new(Manager { pool: None, builds: 0, batches: 0 }))
-}
+impl Manager {
+    /// An empty registry; no thread is spawned until the first parallel
+    /// batch.
+    pub(crate) const fn new() -> Self {
+        Manager { state: Mutex::new(ManagerState { pool: None, builds: 0, batches: 0 }) }
+    }
 
-/// A snapshot of the pool's lifecycle counters. Test-facing: the
-/// persistence suite asserts that repeated batches at a stable thread count
-/// reuse one pool (`builds` flat, `batches` rising) and that a thread-count
-/// change rebuilds it (`builds` rising, `workers` tracking the new count).
-pub fn stats() -> PoolStats {
-    let mgr = manager().lock().unwrap_or_else(PoisonError::into_inner);
-    PoolStats {
-        workers: mgr.pool.as_ref().map_or(0, Pool::size),
-        builds: mgr.builds,
-        batches: mgr.batches,
+    /// A snapshot of this registry's lifecycle counters.
+    pub(crate) fn stats(&self) -> PoolStats {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        PoolStats {
+            workers: state.pool.as_ref().map_or(0, Pool::size),
+            builds: state.builds,
+            batches: state.batches,
+        }
+    }
+
+    /// Evaluates `mappings` in input order at the given total thread count.
+    /// Counts of one, batches of fewer than two mappings and calls from
+    /// inside a pool chunk ([`on_pool_thread`]) run serially on the calling
+    /// thread and never touch the pool; everything else is submitted to it.
+    pub(crate) fn evaluate<P: MappingProblem + ?Sized>(
+        &self,
+        problem: &P,
+        mappings: &[Mapping],
+        threads: usize,
+    ) -> Vec<f64> {
+        if threads <= 1 || mappings.len() < 2 || on_pool_thread() {
+            return mappings.iter().map(|m| problem.evaluate(m)).collect();
+        }
+        let mut out = vec![0.0f64; mappings.len()];
+        self.submit(problem, mappings, &mut out, threads);
+        out
+    }
+
+    /// Evaluates `mappings` into `out` on the pool at the given total thread
+    /// count (caller + `threads - 1` workers), rebuilding the pool first if
+    /// its size does not match.
+    ///
+    /// # Panics
+    ///
+    /// Re-throws the first panic raised by any chunk's `evaluate`, after the
+    /// whole batch has drained (so the borrowed buffers are never abandoned
+    /// to running workers).
+    fn submit<P: MappingProblem + ?Sized>(
+        &self,
+        problem: &P,
+        mappings: &[Mapping],
+        out: &mut [f64],
+        threads: usize,
+    ) {
+        debug_assert!(threads >= 2 && mappings.len() >= 2 && mappings.len() == out.len());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let wanted = threads - 1;
+        if state.pool.as_ref().is_none_or(|p| p.size() != wanted) {
+            if let Some(old) = state.pool.take() {
+                old.shutdown();
+            }
+            state.pool = Some(Pool::new(wanted));
+            state.builds += 1;
+        }
+
+        // Chunk granularity: a few steals per evaluator balances heterogeneous
+        // chunk costs without paying cursor traffic per mapping.
+        let chunk = (mappings.len() / (threads * 4)).max(1);
+        let ctx = Ctx { problem, mappings, out: out.as_mut_ptr() };
+        let batch = Arc::new(Batch {
+            ctx: (&ctx as *const Ctx<'_, P>).cast(),
+            run: run_chunk::<P>,
+            len: mappings.len(),
+            chunk,
+            cursor: AtomicUsize::new(0),
+            pending: AtomicUsize::new(mappings.len().div_ceil(chunk)),
+            panic: Mutex::new(None),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        });
+        state.pool.as_ref().expect("pool was just ensured").run(&batch);
+        state.batches += 1;
+        let payload = batch.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
+        drop(state);
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
     }
 }
 
-/// Evaluates `mappings` into `out` using the persistent pool at the given
-/// total thread count (caller + `threads - 1` workers), rebuilding the pool
-/// first if its size does not match.
-///
-/// The caller must pre-screen: `threads >= 2`, `mappings.len() >= 2`, and
-/// not already on a pool thread ([`on_pool_thread`]).
-///
-/// # Panics
-///
-/// Re-throws the first panic raised by any chunk's `evaluate`, after the
-/// whole batch has drained (so the borrowed buffers are never abandoned to
-/// running workers).
-pub(crate) fn submit<P: MappingProblem + ?Sized>(
+impl Drop for Manager {
+    /// Joins a private registry's workers. The process-wide instance is a
+    /// static and never dropped; its pool is reclaimed by process exit.
+    fn drop(&mut self) {
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pool) = state.pool.take() {
+            pool.shutdown();
+        }
+    }
+}
+
+/// A snapshot of the process-wide pool's lifecycle counters. Test-facing:
+/// the persistence suite asserts that repeated batches at a stable thread
+/// count reuse one pool (`builds` flat, `batches` rising) and that a
+/// thread-count change rebuilds it (`builds` rising, `workers` tracking the
+/// new count).
+pub fn stats() -> PoolStats {
+    GLOBAL.stats()
+}
+
+/// Evaluates `mappings` on the process-wide pool (see
+/// [`crate::parallel::evaluate_batch_with`] for the serial-path rules).
+pub(crate) fn evaluate<P: MappingProblem + ?Sized>(
     problem: &P,
     mappings: &[Mapping],
-    out: &mut [f64],
     threads: usize,
-) {
-    debug_assert!(threads >= 2 && mappings.len() >= 2 && mappings.len() == out.len());
-    let mut mgr = manager().lock().unwrap_or_else(PoisonError::into_inner);
-    let wanted = threads - 1;
-    if mgr.pool.as_ref().is_none_or(|p| p.size() != wanted) {
-        if let Some(old) = mgr.pool.take() {
-            old.shutdown();
-        }
-        mgr.pool = Some(Pool::new(wanted));
-        mgr.builds += 1;
-    }
-
-    // Chunk granularity: a few steals per evaluator balances heterogeneous
-    // chunk costs without paying cursor traffic per mapping.
-    let chunk = (mappings.len() / (threads * 4)).max(1);
-    let ctx = Ctx { problem, mappings, out: out.as_mut_ptr() };
-    let batch = Arc::new(Batch {
-        ctx: (&ctx as *const Ctx<'_, P>).cast(),
-        run: run_chunk::<P>,
-        len: mappings.len(),
-        chunk,
-        cursor: AtomicUsize::new(0),
-        pending: AtomicUsize::new(mappings.len().div_ceil(chunk)),
-        panic: Mutex::new(None),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-    });
-    mgr.pool.as_ref().expect("pool was just ensured").run(&batch);
-    mgr.batches += 1;
-    let payload = batch.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
-    drop(mgr);
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
+) -> Vec<f64> {
+    GLOBAL.evaluate(problem, mappings, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::test_support::ToyProblem;
-    use crate::parallel::evaluate_batch_with;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Pool-lifecycle assertions share the process-wide pool with every
-    /// other test in this binary; serialize them so the counters they
-    /// assert on are their own.
-    static LIFECYCLE: Mutex<()> = Mutex::new(());
+    // The lifecycle tests each own a private `Manager`: other tests in this
+    // binary resize the process-wide pool while they run, which would make
+    // the counters asserted on here someone else's.
 
     fn population(jobs: usize, accels: usize, count: usize, seed: u64) -> Vec<Mapping> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -411,44 +465,44 @@ mod tests {
 
     #[test]
     fn batches_reuse_one_pool_until_the_count_changes() {
-        let _guard = LIFECYCLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let mgr = Manager::new();
         let p = ToyProblem { jobs: 12, accels: 3 };
         let pop = population(12, 3, 40, 0);
         let serial: Vec<f64> = pop.iter().map(|m| p.evaluate(m)).collect();
 
-        assert_eq!(evaluate_batch_with(&p, &pop, 3), serial);
-        let after_first = stats();
+        assert_eq!(mgr.evaluate(&p, &pop, 3), serial);
+        let after_first = mgr.stats();
         assert_eq!(after_first.workers, 2);
 
         for _ in 0..5 {
-            assert_eq!(evaluate_batch_with(&p, &pop, 3), serial);
+            assert_eq!(mgr.evaluate(&p, &pop, 3), serial);
         }
-        let after_reuse = stats();
+        let after_reuse = mgr.stats();
         assert_eq!(after_reuse.workers, 2, "stable count must not resize the pool");
         assert_eq!(after_reuse.builds, after_first.builds, "stable count must not rebuild");
         assert_eq!(after_reuse.batches, after_first.batches + 5);
 
-        assert_eq!(evaluate_batch_with(&p, &pop, 5), serial);
-        let after_resize = stats();
+        assert_eq!(mgr.evaluate(&p, &pop, 5), serial);
+        let after_resize = mgr.stats();
         assert_eq!(after_resize.workers, 4, "pool must track the new thread count");
         assert_eq!(after_resize.builds, after_first.builds + 1, "resize is one clean rebuild");
     }
 
     #[test]
     fn serial_and_singleton_paths_never_touch_the_pool() {
-        let _guard = LIFECYCLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let mgr = Manager::new();
         let p = ToyProblem { jobs: 6, accels: 2 };
         let pop = population(6, 2, 20, 1);
-        let before = stats();
-        let _ = evaluate_batch_with(&p, &pop, 1);
-        let _ = evaluate_batch_with(&p, &pop[..1], 8);
-        let _ = evaluate_batch_with(&p, &[], 8);
-        assert_eq!(stats().batches, before.batches);
+        let before = mgr.stats();
+        let _ = mgr.evaluate(&p, &pop, 1);
+        let _ = mgr.evaluate(&p, &pop[..1], 8);
+        let _ = mgr.evaluate(&p, &[], 8);
+        assert_eq!(mgr.stats().batches, before.batches);
     }
 
     #[test]
     fn chunk_panics_drain_the_batch_and_propagate() {
-        let _guard = LIFECYCLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let mgr = Manager::new();
         // A problem that panics on some candidates: the barrier must still
         // release (no abandoned borrow) and the panic must reach the caller.
         struct Spiky;
@@ -467,12 +521,12 @@ mod tests {
         // Among 16 random candidates some lead priority is < 0.5.
         let pop = population(5, 2, 16, 2);
         assert!(pop.iter().any(|m| m.priority()[0] < 0.5));
-        let caught = catch_unwind(AssertUnwindSafe(|| evaluate_batch_with(&Spiky, &pop, 4)));
+        let caught = catch_unwind(AssertUnwindSafe(|| mgr.evaluate(&Spiky, &pop, 4)));
         assert!(caught.is_err(), "the chunk panic must propagate");
         // The pool survives a panicking batch.
         let p = ToyProblem { jobs: 5, accels: 2 };
         let serial: Vec<f64> = pop.iter().map(|m| p.evaluate(m)).collect();
-        assert_eq!(evaluate_batch_with(&p, &pop, 4), serial);
+        assert_eq!(mgr.evaluate(&p, &pop, 4), serial);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn flag_or(raw: Option<&str>, default: bool) -> bool {
 /// | `MAGMA_SERVE_SLA_X` | `sla_x` | per-job SLA bound, in multiples of one batch window + calibrated service time |
 /// | `MAGMA_SERVE_OVERHEAD_US` | `overhead_us_per_sample` | virtual mapper cost charged per search sample, in µs |
 /// | `MAGMA_SERVE_OVERLAP` | `overlap` | `0`/`off`/`false` disables overlap mode (search slices interleaved with execution); default on |
-/// | `MAGMA_SERVE_SLICE` | `search_slice` | samples per search slice in overlap mode |
+/// | `MAGMA_SERVE_SLICE` | `search_slice` | samples per search slice (result-invariant) |
 /// | `MAGMA_SERVE_CACHE_EPSILON` | `cache_epsilon` | nearest-key cache probe threshold (mean signature distance); `0` = exact-key only |
 /// | `MAGMA_SERVE_CACHE_PATH` | `cache_path` | mapping-cache persistence file: loaded (if present) before a run, saved after — warm restarts; empty/unset disables |
 /// | `MAGMA_SERVE_SEED` | `seed` | trace/search seed |

@@ -19,18 +19,17 @@
 //!
 //! Since the session redesign the service is **steppable**: a dispatch is
 //! [`plan`](MappingService::plan_group)ned (cache probe + seed adaptation),
-//! its search opened as a resumable [`SearchSession`]
-//! ([`MappingService::start_search`]) that the caller advances in budget
+//! its search opened as a detached, resumable [`SessionState`]
+//! ([`MappingService::open_search`]) that the caller advances in budget
 //! slices, and [`complete`](MappingService::complete_group)d into the cache.
-//! [`MappingService::map_group`] remains the one-call composition of the
-//! three — and, by the session-stepping invariant, any slicing of the same
-//! budget produces the same outcome.
+//! By the session-stepping invariant, any slicing of the same budget
+//! produces the same outcome.
 
 use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
 use magma_m3e::{M3e, Mapping, MappingProblem, Schedule, StoredSolution};
-use magma_optim::{Magma, Optimizer, SearchOutcome, SearchSession, SessionState};
+use magma_optim::{Magma, Optimizer, SearchOutcome, SessionState};
+use magma_platform::settings::ServeKnobs;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -94,6 +93,17 @@ impl DispatchConfig {
             cache_capacity,
             cache_epsilon: 0.0,
         }
+    }
+
+    /// The budgets and cache geometry of the `MAGMA_SERVE_*` knob family.
+    pub fn from_knobs(knobs: &ServeKnobs) -> Self {
+        DispatchConfig::new(
+            knobs.cold_budget,
+            knobs.refine_budget,
+            knobs.quant_step,
+            knobs.cache_capacity,
+        )
+        .with_cache_epsilon(knobs.cache_epsilon)
     }
 
     /// Enables the nearest-key cache probe at threshold `epsilon` (mean
@@ -173,12 +183,12 @@ impl MappingService {
     /// Plans how a dispatch group will be searched: probes the cache (exact
     /// key, then the nearest-key fallback when `cache_epsilon > 0`) and, on
     /// a hit, adapts the stored solution into a seed population. The plan
-    /// carries everything [`MappingService::start_search`] needs; nothing is
+    /// carries everything [`MappingService::open_search`] needs; nothing is
     /// evaluated yet.
     ///
-    /// `rng` must be the same RNG later handed to `start_search` — the seed
-    /// population draws from it, exactly as the pre-session one-call path
-    /// did.
+    /// `rng` must be the same RNG later handed to `open_search` and to every
+    /// step — the seed population draws from it, exactly as the pre-session
+    /// one-call path did.
     pub fn plan_group(&mut self, problem: &M3e, rng: &mut StdRng) -> SearchPlan {
         self.plan_group_shared(problem, rng, None)
     }
@@ -225,29 +235,13 @@ impl MappingService {
         }
     }
 
-    /// Opens the (resumable) search session a plan describes: a seeded
-    /// refinement session on a cache hit, a cold MAGMA session on a miss.
-    /// The caller owns the stepping — spend [`SearchPlan::budget`] samples
-    /// in whatever slices fit its schedule (the serving simulator's overlap
-    /// mode interleaves them with accelerator execution), then pass the
-    /// finished outcome to [`MappingService::complete_group`].
-    pub fn start_search<'a>(
-        &self,
-        plan: &SearchPlan,
-        problem: &'a M3e,
-        rng: &'a mut StdRng,
-    ) -> Box<dyn SearchSession + 'a> {
-        let magma = Magma::default();
-        match &plan.seeds {
-            Some(seeds) => magma.refine_session(problem, seeds.clone(), rng),
-            None => magma.start(problem, rng),
-        }
-    }
-
-    /// The owned counterpart of [`MappingService::start_search`]: returns a
-    /// detached [`SessionState`] so a scheduler can hold many live searches
-    /// at once and lend each its problem and RNG per step. Bit-identical to
-    /// `start_search` driven at the same slices.
+    /// Opens the resumable search a plan describes: a seeded refinement on
+    /// a cache hit, a cold MAGMA search on a miss. The returned
+    /// [`SessionState`] is detached, so a scheduler can hold many live
+    /// searches at once and lend each its problem and RNG per step. The
+    /// caller owns the stepping — spend [`SearchPlan::budget`] samples in
+    /// whatever slices fit its schedule, then pass the finished outcome to
+    /// [`MappingService::complete_group`].
     pub fn open_search(
         &self,
         plan: &SearchPlan,
@@ -282,29 +276,6 @@ impl MappingService {
             mapping: outcome.best_mapping,
             schedule,
         }
-    }
-
-    /// Maps one dispatch group in one call: plan, open the session, step it
-    /// to the plan's budget, complete. `seed` drives the (deterministic)
-    /// search RNG; the simulator derives it from the trace seed and dispatch
-    /// index. This is the legacy-mode path — overlap mode drives the same
-    /// plan/start/complete primitives itself, slice by slice.
-    pub fn map_group(&mut self, problem: &M3e, seed: u64) -> DispatchOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let plan = self.plan_group(problem, &mut rng);
-        let budget = plan.budget;
-        let mut session = self.start_search(&plan, problem, &mut rng);
-        loop {
-            let remaining = budget - session.spent();
-            if remaining == 0 {
-                break;
-            }
-            if session.step(remaining).spent == 0 {
-                break;
-            }
-        }
-        let outcome = session.finish();
-        self.complete_group(problem, plan, outcome)
     }
 }
 
@@ -344,6 +315,31 @@ mod tests {
     use magma_m3e::Objective;
     use magma_model::{TaskType, WorkloadSpec};
     use magma_platform::{settings, Setting};
+    use rand::SeedableRng;
+
+    /// Plans, opens and steps one group's search in `slice`-sample steps to
+    /// the plan's budget, then completes it.
+    fn drive(service: &mut MappingService, p: &M3e, seed: u64, slice: usize) -> DispatchOutcome {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = service.plan_group(p, &mut rng);
+        let budget = plan.budget();
+        let mut state = service.open_search(&plan, p, &mut rng);
+        loop {
+            let remaining = budget - state.spent();
+            if remaining == 0 {
+                break;
+            }
+            if state.step(p, &mut rng, remaining.min(slice)).spent == 0 {
+                break;
+            }
+        }
+        service.complete_group(p, plan, state.finish())
+    }
+
+    /// Maps one group in one call: the whole budget as one step.
+    fn map_group(service: &mut MappingService, p: &M3e, seed: u64) -> DispatchOutcome {
+        drive(service, p, seed, usize::MAX)
+    }
 
     fn problem(seed: u64) -> M3e {
         let group = WorkloadSpec::single_group(TaskType::Recommendation, 8, seed);
@@ -358,10 +354,10 @@ mod tests {
     fn first_dispatch_is_cold_repeat_is_a_hit() {
         let mut service = MappingService::new(config());
         let p = problem(0);
-        let cold = service.map_group(&p, 1);
+        let cold = map_group(&mut service, &p, 1);
         assert_eq!(cold.kind, DispatchKind::ColdSearch);
         assert_eq!(cold.samples, 80);
-        let hit = service.map_group(&p, 2);
+        let hit = map_group(&mut service, &p, 2);
         assert_eq!(hit.kind, DispatchKind::CacheHit);
         assert_eq!(hit.samples, 8);
         assert_eq!(service.cache_len(), 1);
@@ -373,8 +369,8 @@ mod tests {
     fn hit_on_an_identical_group_recovers_cold_quality() {
         let mut service = MappingService::new(config());
         let p = problem(3);
-        let cold = service.map_group(&p, 1);
-        let hit = service.map_group(&p, 99);
+        let cold = map_group(&mut service, &p, 1);
+        let hit = map_group(&mut service, &p, 99);
         // The adapted seed IS the stored best mapping (identical signature
         // set), so refinement can only improve on the cold result.
         assert!(hit.best_fitness >= cold.best_fitness * (1.0 - 1e-12));
@@ -386,8 +382,8 @@ mod tests {
         let p = problem(5);
         let run = || {
             let mut service = MappingService::new(config());
-            let a = service.map_group(&p, 7);
-            let b = service.map_group(&p, 8);
+            let a = map_group(&mut service, &p, 7);
+            let b = map_group(&mut service, &p, 8);
             (a.best_fitness, a.mapping, b.best_fitness, b.mapping)
         };
         assert_eq!(run(), run());
@@ -402,8 +398,8 @@ mod tests {
             WorkloadSpec::single_group(TaskType::Vision, 8, 0),
             Objective::Throughput,
         );
-        assert_eq!(service.map_group(&a, 1).kind, DispatchKind::ColdSearch);
-        assert_eq!(service.map_group(&b, 2).kind, DispatchKind::ColdSearch);
+        assert_eq!(map_group(&mut service, &a, 1).kind, DispatchKind::ColdSearch);
+        assert_eq!(map_group(&mut service, &b, 2).kind, DispatchKind::ColdSearch);
         assert_eq!(service.cache_len(), 2);
     }
 
@@ -411,7 +407,7 @@ mod tests {
     fn schedule_covers_the_group() {
         let mut service = MappingService::new(config());
         let p = problem(1);
-        let out = service.map_group(&p, 3);
+        let out = map_group(&mut service, &p, 3);
         assert_eq!(out.schedule.segments().len(), 8);
         assert!(out.schedule.makespan_sec() > 0.0);
     }
@@ -421,29 +417,12 @@ mod tests {
         let p = problem(7);
         // One-call path (cold, then a hit) ...
         let mut one_call = MappingService::new(config());
-        let cold_a = one_call.map_group(&p, 1);
-        let hit_a = one_call.map_group(&p, 2);
+        let cold_a = map_group(&mut one_call, &p, 1);
+        let hit_a = map_group(&mut one_call, &p, 2);
         // ... versus the steppable path driven in slices of 3 samples.
         let mut sliced = MappingService::new(config());
-        let mut drive = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let plan = sliced.plan_group(&p, &mut rng);
-            let budget = plan.budget();
-            let mut session = sliced.start_search(&plan, &p, &mut rng);
-            loop {
-                let remaining = budget - session.spent();
-                if remaining == 0 {
-                    break;
-                }
-                if session.step(remaining.min(3)).spent == 0 {
-                    break;
-                }
-            }
-            let outcome = session.finish();
-            sliced.complete_group(&p, plan, outcome)
-        };
-        let cold_b = drive(1);
-        let hit_b = drive(2);
+        let cold_b = drive(&mut sliced, &p, 1, 3);
+        let hit_b = drive(&mut sliced, &p, 2, 3);
         assert_eq!(cold_a.kind, cold_b.kind);
         assert_eq!(cold_a.samples, cold_b.samples);
         assert_eq!(cold_a.best_fitness.to_bits(), cold_b.best_fitness.to_bits());
@@ -458,7 +437,7 @@ mod tests {
         let p = problem(0);
         // Shard A solves the group and publishes to the shared tier.
         let mut shard_a = MappingService::new(config());
-        let cold = shard_a.map_group(&p, 1);
+        let cold = map_group(&mut shard_a, &p, 1);
         let mut shared = SharedCache::new(8, 0);
         let sigs = p.signatures().to_vec();
         let key = quantize_signatures(&sigs, shard_a.config().quant_step);
@@ -480,11 +459,11 @@ mod tests {
     fn an_installed_cache_restores_hit_behaviour() {
         let p = problem(0);
         let mut service = MappingService::new(config());
-        service.map_group(&p, 1);
+        map_group(&mut service, &p, 1);
         let saved = service.cache().clone();
         let mut restarted = MappingService::new(config());
         restarted.install_cache(saved);
-        assert_eq!(restarted.map_group(&p, 2).kind, DispatchKind::CacheHit);
+        assert_eq!(map_group(&mut restarted, &p, 2).kind, DispatchKind::CacheHit);
     }
 
     #[test]
@@ -494,11 +473,11 @@ mod tests {
         let a = problem(0);
         let b = problem(9);
         let mut exact = MappingService::new(config());
-        exact.map_group(&a, 1);
-        let exact_b = exact.map_group(&b, 2);
+        map_group(&mut exact, &a, 1);
+        let exact_b = map_group(&mut exact, &b, 2);
         let mut near = MappingService::new(config().with_cache_epsilon(1e6));
-        near.map_group(&a, 1);
-        let near_b = near.map_group(&b, 2);
+        map_group(&mut near, &a, 1);
+        let near_b = map_group(&mut near, &b, 2);
         assert_eq!(exact_b.kind, DispatchKind::ColdSearch);
         assert_eq!(near_b.kind, DispatchKind::CacheHit);
         assert_eq!(near.cache_stats().near_hits, 1);

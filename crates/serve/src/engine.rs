@@ -4,11 +4,11 @@
 //! The simulators ([`crate::sim`], [`crate::fleet`]) own their clock: they
 //! synthesize a trace up front and process arrival/cut/step events in
 //! virtual-time order. A *server* cannot — requests arrive over a socket
-//! whenever clients send them. [`ServeEngine`] is the piece in between: the
-//! same components ([`AdmissionBatcher`] → [`ShardRouter`] →
-//! [`SessionScheduler`] per shard, [`MappingService`] caches with the
-//! optional [`SharedCache`] tier behind them), but every entry point takes
-//! the caller's `now_sec`. The daemon (`magma-server`) feeds it
+//! whenever clients send them. [`ServeEngine`] is the piece in between: it
+//! keeps its own loop over the fleet's shard layer (`AdmissionBatcher` →
+//! `ShardRouter` → `SessionScheduler` per shard, `MappingService` caches
+//! with the optional `SharedCache` tier behind them), but every entry point
+//! takes the caller's `now_sec`. The daemon (`magma-server`) feeds it
 //! `Instant`-derived seconds; tests feed it synthetic time, which keeps the
 //! engine deterministic and clock-free to test.
 //!
@@ -21,7 +21,9 @@
 //!                                      └──▶ Vec<JobCompletion> (token-tagged)
 //! ```
 //!
-//! Three server-specific behaviours sit on top of the fleet machinery:
+//! The engine owns no mapper clock: a search ends at the `now_sec` of the
+//! call that finishes it and executes at `max(now_sec, accelerator free)`.
+//! Three server-specific behaviours sit on top of the shard layer:
 //!
 //! * **Admission control** — [`ServeEngine::submit`] rejects with
 //!   [`Admission::Busy`] (and a retry-after hint) when the projected mapper
@@ -43,8 +45,8 @@
 //! [`ServeEngine::drain`] closes the lifecycle: admissions stop, every
 //! queued group is force-cut and every live session run to completion, and
 //! the per-shard mapping caches are persisted to `<cache_path>.shard<i>`
-//! (the same files the fleet simulator and the PR 8 warm-restart path use),
-//! so a drained server restarts warm.
+//! ([`shard_cache_file`], the same files the fleet simulator uses), so a
+//! drained server restarts warm.
 //!
 //! Determinism: given the same sequence of `submit`/`cancel`/`poll`/`drain`
 //! calls (same arguments, same `now_sec` values), the engine's completions
@@ -52,22 +54,18 @@
 //! same golden-ratio stride as the simulators.
 
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
-use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache};
-use crate::dispatch::{DispatchConfig, DispatchKind, MappingService};
-use crate::fleet::{dominant_tenant, group_value};
-use crate::router::ShardRouter;
-use crate::scheduler::{LiveSession, SchedStep, SchedulerConfig, SessionScheduler};
-use crate::sim::{dispatch_seed, group_problem};
+use crate::dispatch::{DispatchConfig, DispatchKind};
+use crate::scheduler::{LiveSession, SchedStep, SchedulerConfig};
+use crate::shard::{shard_cache_files, Shards};
 use crate::trace::Arrival;
-use magma_m3e::StoredSolution;
-use magma_model::{Job, JobSignature, TenantMix};
+use magma_model::{Job, TenantMix};
 use magma_platform::settings::{FleetPolicy, ServerKnobs};
-use magma_platform::{AcceleratorPlatform, PlatformSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use magma_platform::PlatformSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
+
+pub use crate::shard::shard_cache_file;
 
 /// The full parameter set of a wall-clock engine, derived from the
 /// `MAGMA_SERVER_*` + `MAGMA_FLEET_*` + `MAGMA_SERVE_*` knob families by
@@ -90,7 +88,7 @@ pub struct EngineConfig {
     /// Per-tenant entry quota over the shared tier; `0` means unlimited.
     pub shared_tenant_quota: usize,
     /// Mapping-cache persistence base path: each shard loads/saves
-    /// `<path>.shard<i>` (same layout as the fleet simulator).
+    /// `<path>.shard<i>` ([`shard_cache_file`], the fleet's layout too).
     pub cache_path: Option<PathBuf>,
     /// Scheduler policy. Timeouts only preempt under
     /// [`FleetPolicy::Deadline`].
@@ -129,13 +127,7 @@ impl EngineConfig {
             group_target: serve.group_target,
             max_wait_sec: serve.max_wait_x * serve.group_target as f64 / knobs.rate,
             overhead_sec_per_sample: serve.overhead_us_per_sample * 1e-6,
-            dispatch: DispatchConfig::new(
-                serve.cold_budget,
-                serve.refine_budget,
-                serve.quant_step,
-                serve.cache_capacity,
-            )
-            .with_cache_epsilon(serve.cache_epsilon),
+            dispatch: DispatchConfig::from_knobs(serve),
             shared_cache_capacity: fleet.shared_cache_capacity,
             shared_tenant_quota: fleet.shared_tenant_quota,
             cache_path: serve.cache_path.as_ref().map(PathBuf::from),
@@ -253,17 +245,12 @@ struct SessionTags {
 pub struct ServeEngine {
     config: EngineConfig,
     mix: TenantMix,
-    platforms: Vec<AcceleratorPlatform>,
     batcher: AdmissionBatcher,
     /// Token tags parallel to the batcher's FIFO queue: `take_group` removes
     /// the oldest `n` arrivals, so the first `n` tags here are theirs.
     pending_tags: VecDeque<JobTag>,
-    router: ShardRouter,
-    services: Vec<MappingService>,
-    shared: Option<SharedCache>,
-    scheds: Vec<SessionScheduler>,
-    /// Per-shard virtual accelerator timeline (wall-clock seconds).
-    accel_free: Vec<f64>,
+    /// The shards; their accelerator timelines run in wall-clock seconds.
+    shards: Shards,
     session_tags: HashMap<u64, SessionTags>,
     /// Remaining job count per open token.
     open_tokens: HashMap<u64, usize>,
@@ -272,7 +259,6 @@ pub struct ServeEngine {
     out: Vec<JobCompletion>,
     /// Monotonic clamp over caller-supplied time.
     last_now: f64,
-    admitted: u64,
     draining: bool,
     accepted: u64,
     rejected: u64,
@@ -298,24 +284,6 @@ impl ServeEngine {
         assert!(config.timeout_sec > 0.0, "the session timeout must be positive");
         assert!(config.max_backlog_sec > 0.0, "the backlog knob must be positive");
         assert!(config.pending_per_shard > 0, "the admission queue needs capacity");
-        let platforms: Vec<_> = config.shard_settings.iter().map(|s| s.build()).collect();
-        let mut services: Vec<_> =
-            (0..shards).map(|_| MappingService::new(config.dispatch)).collect();
-        if let Some(base) = &config.cache_path {
-            for (i, service) in services.iter_mut().enumerate() {
-                let file = shard_cache_file(base, i);
-                if file.exists() {
-                    match MappingCache::load(&file) {
-                        Ok(cache) => service.install_cache(cache),
-                        Err(e) => {
-                            eprintln!("warning: ignoring mapping cache at {}: {e}", file.display())
-                        }
-                    }
-                }
-            }
-        }
-        let shared = (config.shared_cache_capacity > 0)
-            .then(|| SharedCache::new(config.shared_cache_capacity, config.shared_tenant_quota));
         let sched_config = SchedulerConfig {
             policy: config.policy,
             max_live: config.max_live,
@@ -331,22 +299,25 @@ impl ServeEngine {
             config.group_target,
             config.max_wait_sec.max(0.0),
         ));
+        let shards = Shards::new(
+            &config.shard_settings,
+            config.dispatch,
+            config.shared_cache_capacity,
+            config.shared_tenant_quota,
+            sched_config,
+            shard_cache_files(config.cache_path.as_deref(), shards),
+            config.seed,
+        );
         ServeEngine {
             mix,
-            platforms,
             batcher,
             pending_tags: VecDeque::new(),
-            router: ShardRouter::new(shards),
-            services,
-            shared,
-            scheds: (0..shards).map(|_| SessionScheduler::new(sched_config)).collect(),
-            accel_free: vec![0.0; shards],
+            shards,
             session_tags: HashMap::new(),
             open_tokens: HashMap::new(),
             cancelled: HashSet::new(),
             out: Vec::new(),
             last_now: 0.0,
-            admitted: 0,
             draining: false,
             accepted: 0,
             rejected: 0,
@@ -377,19 +348,13 @@ impl ServeEngine {
     pub fn projected_backlog_sec(&self, now_sec: f64) -> f64 {
         let now = now_sec.max(self.last_now);
         let min_load =
-            (0..self.scheds.len()).map(|s| self.shard_load(s, now)).fold(f64::INFINITY, f64::min);
+            (0..self.shards.len()).map(|s| self.shards.load(s, now)).fold(f64::INFINITY, f64::min);
         let queued_groups = self.batcher.pending() as f64 / self.config.group_target as f64;
         let queued_cost = queued_groups
             * self.config.dispatch.cold_budget as f64
             * self.config.overhead_sec_per_sample
-            / self.scheds.len() as f64;
+            / self.shards.len() as f64;
         min_load + queued_cost
-    }
-
-    /// One shard's congestion in seconds — the router's load measure.
-    fn shard_load(&self, shard: usize, now_sec: f64) -> f64 {
-        self.scheds[shard].backlog() * self.config.overhead_sec_per_sample
-            + (self.accel_free[shard] - now_sec).max(0.0)
     }
 
     /// Submits one group of jobs under `token` (the transport's correlation
@@ -416,14 +381,15 @@ impl ServeEngine {
         if self.open_tokens.contains_key(&token) {
             return Admission::Invalid { reason: format!("token {token} is already open") };
         }
+        // Backpressure: a full admission queue or a projected backlog over
+        // the knob both bounce, hinting how long the backlog needs to fall
+        // back under the knob (floored at 1 ms).
         let queue_cap =
-            self.config.pending_per_shard * self.scheds.len() * self.config.group_target;
-        if self.batcher.pending() + jobs.len() > queue_cap {
-            self.rejected += 1;
-            return Admission::Busy { retry_after_sec: self.retry_after(now) };
-        }
+            self.config.pending_per_shard * self.shards.len() * self.config.group_target;
         let projected = self.projected_backlog_sec(now);
-        if projected > self.config.max_backlog_sec {
+        if self.batcher.pending() + jobs.len() > queue_cap
+            || projected > self.config.max_backlog_sec
+        {
             self.rejected += 1;
             return Admission::Busy {
                 retry_after_sec: (projected - self.config.max_backlog_sec).max(1e-3),
@@ -437,12 +403,6 @@ impl ServeEngine {
         self.open_tokens.insert(token, n);
         self.accepted += 1;
         Admission::Accepted
-    }
-
-    /// The retry-after hint of a queue-full rejection: how long the backlog
-    /// is projected to need to fall back under the knob, floored at 1 ms.
-    fn retry_after(&self, now_sec: f64) -> f64 {
-        (self.projected_backlog_sec(now_sec) - self.config.max_backlog_sec).max(1e-3)
     }
 
     /// Cancels an open token. Returns `false` when the token is unknown,
@@ -467,7 +427,7 @@ impl ServeEngine {
             .collect();
         for id in doomed {
             let shard = self.session_tags[&id].shard;
-            let Some(session) = self.scheds[shard].remove_by_id(id) else { continue };
+            let Some(session) = self.shards.scheds[shard].remove_by_id(id) else { continue };
             if session.spent() > 0 {
                 self.complete(session, shard, now, false);
             } else {
@@ -500,23 +460,10 @@ impl ServeEngine {
     /// since the last call.
     pub fn poll(&mut self, now_sec: f64) -> Vec<JobCompletion> {
         let now = self.clamp_now(now_sec);
-        while self.batcher.earliest_ready().is_some_and(|r| r <= now)
-            && self.scheds.iter().any(|s| s.has_room())
-        {
+        while self.batcher.earliest_ready().is_some_and(|r| r <= now) && self.shards.has_room() {
             self.cut_group(now);
         }
-        for shard in 0..self.scheds.len() {
-            if self.scheds[shard].live() == 0 {
-                continue;
-            }
-            match self.scheds[shard].step(now) {
-                SchedStep::Idle => unreachable!("only shards with live sessions step"),
-                SchedStep::Progress { .. } => {}
-                SchedStep::Finished { session, spent: _, preempted } => {
-                    self.complete(*session, shard, now, preempted);
-                }
-            }
-        }
+        self.step_shards(now);
         std::mem::take(&mut self.out)
     }
 
@@ -534,12 +481,12 @@ impl ServeEngine {
             // path by cutting at the group's own ready time when it lies
             // beyond `now`.
             while let Some(ready) = self.batcher.earliest_ready() {
-                if !self.scheds.iter().any(|s| s.has_room()) {
+                if !self.shards.has_room() {
                     break;
                 }
                 self.cut_group(now.max(ready));
             }
-            if self.scheds.iter().all(|s| s.live() == 0) {
+            if self.shards.live() == 0 {
                 if self.batcher.pending() == 0 {
                     break;
                 }
@@ -547,36 +494,16 @@ impl ServeEngine {
                 // progress on the next iteration.
                 continue;
             }
-            for shard in 0..self.scheds.len() {
-                if self.scheds[shard].live() == 0 {
-                    continue;
-                }
-                match self.scheds[shard].step(now) {
-                    SchedStep::Idle => unreachable!("only shards with live sessions step"),
-                    SchedStep::Progress { .. } => {}
-                    SchedStep::Finished { session, spent: _, preempted } => {
-                        self.complete(*session, shard, now, preempted);
-                    }
-                }
-            }
+            self.step_shards(now);
         }
-        self.persist_caches();
+        self.shards.persist();
         std::mem::take(&mut self.out)
     }
 
     /// A counter snapshot (the `Stats` RPC payload).
     pub fn stats(&self) -> EngineStats {
-        let mut cache = CacheStats::default();
-        for service in &self.services {
-            let s = service.cache_stats();
-            cache.hits += s.hits;
-            cache.misses += s.misses;
-            cache.near_hits += s.near_hits;
-        }
-        let sched =
-            self.scheds.iter().map(|s| s.stats()).fold((0u64, 0u64, 0u64), |(a, c, p), st| {
-                (a + st.admitted, c + st.completed, p + st.preemptions())
-            });
+        let cache = self.shards.cache_report();
+        let sched = self.shards.sched_stats();
         EngineStats {
             accepted: self.accepted,
             rejected: self.rejected,
@@ -585,10 +512,10 @@ impl ServeEngine {
             timed_out_jobs: self.timed_out_jobs,
             cancelled_jobs: self.cancelled_jobs,
             queued_jobs: self.batcher.pending() as u64,
-            live_sessions: self.scheds.iter().map(|s| s.live() as u64).sum(),
-            admitted_sessions: sched.0,
-            completed_sessions: sched.1,
-            preempted_sessions: sched.2,
+            live_sessions: self.shards.live() as u64,
+            admitted_sessions: sched.admitted,
+            completed_sessions: sched.completed,
+            preempted_sessions: sched.preemptions(),
             cache_hits: cache.hits,
             cache_near_hits: cache.near_hits,
             cache_misses: cache.misses,
@@ -607,21 +534,6 @@ impl ServeEngine {
     fn cut_group(&mut self, t: f64) {
         let group = self.batcher.take_group(t).expect("readiness verified");
         let tags: Vec<JobTag> = self.pending_tags.drain(..group.arrivals.len()).collect();
-        let sigs: Vec<JobSignature> = group.arrivals.iter().map(|a| a.job.signature()).collect();
-        let key = quantize_signatures(&sigs, self.config.dispatch.quant_step);
-        let admissible: Vec<bool> = self.scheds.iter().map(|s| s.has_room()).collect();
-        let loads: Vec<f64> = (0..self.scheds.len()).map(|s| self.shard_load(s, t)).collect();
-        let shard = if self.shared.as_ref().is_some_and(|tier| tier.contains(&key)) {
-            self.router.place_balanced(&loads, &admissible)
-        } else {
-            self.router.place(&key, &loads, &admissible)
-        };
-        let problem = group_problem(&self.platforms[shard], &group);
-        let mut rng =
-            StdRng::seed_from_u64(dispatch_seed(self.config.seed, self.admitted as usize));
-        let plan = self.services[shard].plan_group_shared(&problem, &mut rng, self.shared.as_mut());
-        let budget = plan.budget();
-        let state = self.services[shard].open_search(&plan, &problem, &mut rng);
         // The server deadline is the session timeout, not an SLA bound: the
         // earliest arrival's admission time plus the knob.
         let deadline_sec = group
@@ -629,57 +541,44 @@ impl ServeEngine {
             .iter()
             .map(|a| a.time_sec + self.config.timeout_sec)
             .fold(f64::INFINITY, f64::min);
-        let value = group_value(group.arrivals.iter(), &self.mix);
-        let session = LiveSession {
-            id: self.admitted,
-            group,
-            plan,
-            problem,
-            rng,
-            state,
-            budget,
-            deadline_sec,
-            value,
-        };
-        self.session_tags.insert(self.admitted, SessionTags { shard, tags });
-        self.scheds[shard].admit(session, t);
-        self.admitted += 1;
+        let (shard, id) = self.shards.admit(group, t, deadline_sec, &self.mix);
+        self.session_tags.insert(id, SessionTags { shard, tags });
     }
 
-    /// Completes a departed session: stores the mapping, publishes it to
-    /// the shared tier, schedules execution on the shard's accelerator
-    /// timeline and emits one tagged completion per job.
+    /// Runs one scheduler step on every shard with live sessions and
+    /// completes the sessions that finish.
+    fn step_shards(&mut self, now_sec: f64) {
+        for shard in 0..self.shards.len() {
+            if self.shards.scheds[shard].live() == 0 {
+                continue;
+            }
+            match self.shards.scheds[shard].step(now_sec) {
+                SchedStep::Idle => unreachable!("only shards with live sessions step"),
+                SchedStep::Progress { .. } => {}
+                SchedStep::Finished { session, spent: _, preempted } => {
+                    self.complete(*session, shard, now_sec, preempted);
+                }
+            }
+        }
+    }
+
+    /// Completes a departed session on its shard and emits one tagged
+    /// completion per job.
     fn complete(&mut self, session: LiveSession, shard: usize, now_sec: f64, timed_out: bool) {
         let tags = self.session_tags.remove(&session.id).expect("tags tracked per session");
         debug_assert_eq!(tags.shard, shard, "a session completes on its own shard");
-        let LiveSession { group, plan, problem, state, .. } = session;
-        let key = plan.key().clone();
-        let outcome = self.services[shard].complete_group(&problem, plan, state.finish());
-        if let Some(tier) = self.shared.as_mut() {
-            tier.publish(
-                key,
-                StoredSolution::new(outcome.mapping.clone(), Some(problem.signatures().to_vec())),
-                dominant_tenant(&group.arrivals),
-            );
-        }
-        let exec_start = now_sec.max(self.accel_free[shard]);
-        self.accel_free[shard] = exec_start + outcome.schedule.makespan_sec();
-        let mut end_by_job = vec![0.0f64; group.arrivals.len()];
-        for seg in outcome.schedule.segments() {
-            end_by_job[seg.job.0] = seg.end_sec;
-        }
-        for (k, a) in group.arrivals.iter().enumerate() {
-            let tag = tags.tags[k];
+        let (outcome, records) = self.shards.finish(shard, session, now_sec);
+        for (tag, record) in tags.tags.into_iter().zip(&records) {
             let cancelled = self.cancelled.contains(&tag.token);
             self.push_completion(JobCompletion {
                 token: tag.token,
                 job_index: tag.job_index,
-                tenant: a.tenant,
+                tenant: record.tenant,
                 shard,
                 kind: outcome.kind,
                 timed_out: timed_out && !cancelled,
                 cancelled,
-                completed_sec: exec_start + end_by_job[k],
+                completed_sec: record.completed_sec,
             });
         }
     }
@@ -702,27 +601,6 @@ impl ServeEngine {
         }
         self.out.push(completion);
     }
-
-    /// Persists each shard's mapping cache to `<cache_path>.shard<i>`.
-    fn persist_caches(&self) {
-        if let Some(base) = &self.config.cache_path {
-            for (i, service) in self.services.iter().enumerate() {
-                let file = shard_cache_file(base, i);
-                if let Err(e) = service.cache().save(&file) {
-                    eprintln!(
-                        "warning: could not persist mapping cache to {}: {e}",
-                        file.display()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The per-shard persistence file a base path expands to — the same layout
-/// as the fleet simulator's.
-pub fn shard_cache_file(base: &std::path::Path, shard: usize) -> PathBuf {
-    PathBuf::from(format!("{}.shard{shard}", base.display()))
 }
 
 #[cfg(test)]

@@ -32,11 +32,10 @@
 //! * [`dispatch`] — cold search vs adapt-then-refine as *steppable plans*
 //!   (plan → session → complete), both through the parallel batch evaluator
 //!   (`magma_optim::parallel`).
-//! * [`sim`] — the deterministic event-driven virtual-clock loop, in two
-//!   modes: **overlap** (default; a group's search advances in budget
-//!   slices through `magma_optim`'s [`SearchSession`](magma_optim::SearchSession)
-//!   API while the previous group executes, with mapper cost charged from
-//!   measured per-step samples) and **legacy** (the serial baseline).
+//! * [`sim`] — the single-queue simulator: a one-shard run of the fleet
+//!   loop, in two modes: **overlap** (default; a group's search advances in
+//!   budget slices while the previous group executes) and **legacy** (the
+//!   serial baseline: the mapper waits for its accelerator).
 //! * [`metrics`] — the latency/throughput/SLA pipeline, with per-tenant SLA
 //!   contracts.
 //! * [`report`] — the schema-stable `BENCH_serve.json` contract
@@ -53,20 +52,23 @@
 //!
 //! # Fleet serving
 //!
-//! Above the single-queue loop sits the **fleet** layer — N platform
-//! shards behind a signature-affine router, each time-sharing its mapper
-//! across many live searches:
+//! The **fleet** layer runs N platform shards behind a signature-affine
+//! router, each time-sharing its mapper across many live searches. A
+//! crate-private shard layer holds the per-shard machinery under two
+//! loops, the fleet's virtual-clock loop and the wall-clock [`engine`]:
 //!
 //! * [`router`] — sticky signature-affinity placement with
 //!   least-loaded/lowest-index fallback.
 //! * [`scheduler`] — the per-shard concurrent session scheduler: uniform
 //!   round-robin or deadline-aware (EDF + urgency-sized slices), with
 //!   deadline and value **preemption** (early `finish()` of live sessions).
-//! * [`fleet`] — the global event loop gluing trace → batcher → router →
-//!   shards (with an optional shared cache tier and per-shard cache
+//! * [`fleet`] — the virtual-clock event loop gluing trace → batcher →
+//!   router → shards (with an optional shared cache tier and per-shard cache
 //!   persistence), plus the schema-stable `BENCH_fleet.json`
 //!   scaling-ladder report (`magma-fleet/v3`, self-checked by
 //!   [`FleetReport::validate`](fleet::FleetReport::validate)).
+//! * [`engine`] — the wall-clock loop: caller-supplied time, admission
+//!   control, tokens, timeouts and cancellation, behind `magma-server`.
 //!
 //! # Paper cross-references
 //!
@@ -110,6 +112,7 @@ pub mod metrics;
 pub mod report;
 pub mod router;
 pub mod scheduler;
+mod shard;
 pub mod sim;
 pub mod sweep;
 pub mod trace;

@@ -2,15 +2,14 @@
 //! shard's mapper.
 //!
 //! The single-queue simulator ([`crate::sim`]) holds at most one search at a
-//! time; a fleet shard holds up to `max_live` detached
+//! time (`max_live = 1`); a fleet shard holds up to `max_live` detached
 //! [`magma_optim::SessionState`]s and multiplexes its mapper
 //! across them in slices. Two policies ([`FleetPolicy`], knob
 //! `MAGMA_FLEET_POLICY`):
 //!
 //! * **Uniform** — round-robin selection, a fixed slice per step, no
-//!   preemption. With one shard and `max_live = 1` this is exactly the
-//!   single-queue overlap loop, which is what the fleet-vs-sim equivalence
-//!   test pins down.
+//!   preemption. With one shard and `max_live = 1` this is the single-queue
+//!   simulator, which runs on the fleet loop.
 //! * **Deadline** (default) — earliest-deadline-first selection with
 //!   *deadline-aware slice sizing*: a session's slice grows with its
 //!   urgency — the fraction of its remaining headroom its remaining search
@@ -102,7 +101,6 @@ pub struct LiveSession {
     pub(crate) problem: M3e,
     pub(crate) rng: StdRng,
     pub(crate) state: Box<dyn SessionState>,
-    pub(crate) budget: usize,
     /// Earliest per-job SLA expiry across the group's arrivals.
     pub(crate) deadline_sec: f64,
     /// Σ over arrivals of `1 / sla_multiplier` — tighter contracts are
@@ -118,12 +116,12 @@ impl LiveSession {
 
     /// Samples left before the nominal budget is exhausted.
     pub(crate) fn remaining(&self) -> usize {
-        self.budget.saturating_sub(self.state.spent())
+        self.plan.budget().saturating_sub(self.state.spent())
     }
 }
 
-/// What one scheduler step did (the fleet loop matches on this to advance
-/// its clocks and complete finished groups).
+/// What one scheduler step did (the fleet loop and the engine match on this
+/// to advance their clocks and complete finished groups).
 pub(crate) enum SchedStep {
     /// No live session to step.
     Idle,
@@ -400,7 +398,7 @@ mod tests {
             arrivals: vec![Arrival { time_sec: 0.0, tenant: 0, job }],
             formed_at_sec: 0.0,
         };
-        LiveSession { id, group, plan, problem, rng, state, budget, deadline_sec, value }
+        LiveSession { id, group, plan, problem, rng, state, deadline_sec, value }
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! The deterministic, virtual-clock, event-driven serving simulator.
+//! The deterministic, virtual-clock, single-queue serving simulator.
 //!
-//! The loop closes the paper's missing link from *traffic* to *mappings*:
+//! It closes the paper's missing link from *traffic* to *mappings*:
 //! arrivals (from [`crate::trace`]) feed the admission batcher
-//! ([`crate::batcher`]); when the accelerator is free and a group is ready,
-//! the mapping service ([`crate::dispatch`]) searches or cache-adapts a
-//! mapping; the resulting schedule's per-job finish times advance the
-//! virtual clock and feed the metrics pipeline ([`crate::metrics`]).
+//! ([`crate::batcher`]); when the mapper is free and a group is ready, the
+//! mapping service ([`crate::dispatch`]) searches or cache-adapts a
+//! mapping; the resulting schedule's per-job finish times feed the metrics
+//! pipeline ([`crate::metrics`]).
+//!
+//! [`simulate`] has no event loop of its own: it is a one-shard
+//! [`crate::fleet`] run with the Uniform policy, one live session, no value
+//! preemption and no shared cache tier, persisting its cache at
+//! [`SimConfig::cache_path`] as given.
 //!
 //! Everything is virtual-time: searching costs `overhead_sec_per_sample`
 //! per evaluated sample (so cache hits buy latency, not just samples), and
@@ -17,22 +22,22 @@
 //! # Overlap vs legacy mode
 //!
 //! The simulator runs in one of two modes ([`SimConfig::overlap`], knob
-//! `MAGMA_SERVE_OVERLAP`, default on):
+//! `MAGMA_SERVE_OVERLAP`, default on). In both, the search advances in
+//! [`SimConfig::search_slice`]-sample slices, and the mapper clock reads
+//! `start + samples since start × overhead`, recomputed from cumulative
+//! samples so the slice size changes no metric.
 //!
-//! * **Legacy (serial)** — one timeline: a group is cut when the batcher is
-//!   ready *and the accelerator is free*; its whole search runs as one lump
-//!   of mapper time, then execution follows. This is the pre-session
-//!   behaviour, kept as the baseline.
-//! * **Overlap** — the mapper and the accelerator are separate resources: a
-//!   group is cut when the batcher is ready and the *mapper* is free, its
-//!   search advances in [`SimConfig::search_slice`]-sample slices through
-//!   the steppable session API (each slice charging its **measured** spent
-//!   samples to the mapper clock), and execution starts at `max(search end,
-//!   accelerator free)` — so group *g+1*'s search hides behind group *g*'s
-//!   execution. By the session-stepping invariant the slice size (and the
-//!   mode itself) never changes which mapping a given dispatch group gets;
-//!   overlap changes *when* things happen, which is exactly the end-to-end
-//!   latency win `serve_sim` reports.
+//! * **Overlap** — the mapper and the accelerator are separate resources:
+//!   a group is cut when the batcher is ready and the *mapper* is free, and
+//!   executes at `max(search end, accelerator free)` — so group *g+1*'s
+//!   search hides behind group *g*'s execution.
+//! * **Legacy (serial)** — the pre-session baseline: when a search
+//!   finishes, the mapper waits for its accelerator (its clock moves to
+//!   the time the accelerator becomes free), so search and execution share
+//!   one timeline.
+//!
+//! The mode never changes which mapping a dispatch group gets, only *when*
+//! things happen — the end-to-end latency win `serve_sim` reports.
 //!
 //! # Calibration
 //!
@@ -46,17 +51,13 @@
 //! overhead)` — the latency a job would see in a healthy, uncongested
 //! system, times a tolerance factor.
 
-use crate::batcher::{AdmissionBatcher, BatchPolicy, DispatchGroup};
-use crate::cache::MappingCache;
-use crate::dispatch::{DispatchConfig, DispatchOutcome, MappingService};
-use crate::metrics::{CacheReport, DispatchSummary, LatencyStats, ServeMetrics, TenantReport};
-use crate::trace::{generate_trace, Scenario, TraceParams};
-use magma_m3e::{M3e, Mapping, Objective};
-use magma_model::{Group, JobId, TenantMix};
-use magma_platform::settings::ServeKnobs;
+use crate::dispatch::DispatchConfig;
+use crate::fleet::{self, FleetConfig};
+use crate::metrics::ServeMetrics;
+use crate::trace::Scenario;
+use magma_model::TenantMix;
+use magma_platform::settings::{FleetPolicy, ServeKnobs};
 use magma_platform::{PlatformSpec, Setting};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The full parameter set of one simulated scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +83,8 @@ pub struct SimConfig {
     pub overhead_sec_per_sample: f64,
     /// Whether search overlaps accelerator execution (see module docs).
     pub overlap: bool,
-    /// Samples per search slice in overlap mode (result-invariant; sets the
-    /// granularity at which the mapper clock advances).
+    /// Samples per search slice (result-invariant; sets the granularity at
+    /// which the mapper clock advances).
     pub search_slice: usize,
     /// Search budgets and cache geometry.
     pub dispatch: DispatchConfig,
@@ -111,13 +112,7 @@ impl SimConfig {
             overhead_sec_per_sample: knobs.overhead_us_per_sample * 1e-6,
             overlap: knobs.overlap,
             search_slice: knobs.search_slice,
-            dispatch: DispatchConfig::new(
-                knobs.cold_budget,
-                knobs.refine_budget,
-                knobs.quant_step,
-                knobs.cache_capacity,
-            )
-            .with_cache_epsilon(knobs.cache_epsilon),
+            dispatch: DispatchConfig::from_knobs(knobs),
             cache_path: knobs.cache_path.as_ref().map(std::path::PathBuf::from),
             seed: knobs.seed,
         }
@@ -151,54 +146,8 @@ pub struct SimResult {
     pub sla_sec: f64,
 }
 
-/// One completed job's bookkeeping (shared with the fleet simulator).
-pub(crate) struct JobRecord {
-    pub(crate) tenant: usize,
-    pub(crate) arrival_sec: f64,
-    pub(crate) dispatched_sec: f64,
-    pub(crate) completed_sec: f64,
-    pub(crate) flops: u64,
-}
-
-/// The load calibration of one reference platform (see the module docs):
-/// everything the trace synthesis and the SLA bound derive from the
-/// unoptimized service rate.
-pub(crate) struct Calibration {
-    pub(crate) mean_interarrival_sec: f64,
-    pub(crate) batch_window_sec: f64,
-    pub(crate) sla_sec: f64,
-}
-
-/// Calibrates arrival rate and SLA bound against `platform`'s unoptimized
-/// service time, exactly as [`simulate`] always has (same seeded random
-/// mapping, same arithmetic). The fleet simulator calibrates against its
-/// *reference* (first) shard so the offered load means "load on one shard".
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn calibrate(
-    platform: &magma_platform::AcceleratorPlatform,
-    mix: &TenantMix,
-    group_target: usize,
-    mini_batch: usize,
-    offered_load: f64,
-    sla_x: f64,
-    cold_budget: usize,
-    overhead_sec_per_sample: f64,
-    seed: u64,
-) -> Calibration {
-    let calib_group = calibration_group(mix, group_target, mini_batch);
-    let calib_n = calib_group.len();
-    let calib_problem = M3e::new(platform.clone(), calib_group, Objective::Throughput);
-    let mut calib_rng = StdRng::seed_from_u64(seed);
-    let calib_mapping = Mapping::random(&mut calib_rng, calib_n, platform.num_sub_accels());
-    let calib_makespan = calib_problem.schedule(&calib_mapping).makespan_sec();
-    let mean_interarrival_sec = calib_makespan / calib_n as f64 / offered_load;
-    let batch_window_sec = group_target as f64 * mean_interarrival_sec;
-    let cold_overhead_sec = cold_budget as f64 * overhead_sec_per_sample;
-    let sla_sec = sla_x * (batch_window_sec + calib_makespan + cold_overhead_sec);
-    Calibration { mean_interarrival_sec, batch_window_sec, sla_sec }
-}
-
-/// Runs one scenario to completion.
+/// Runs one scenario to completion, as a one-shard run of the fleet loop
+/// (see the module docs).
 ///
 /// # Panics
 ///
@@ -206,324 +155,36 @@ pub(crate) fn calibrate(
 /// non-positive offered load) — [`SimConfig::from_knobs`] never builds such
 /// a config.
 pub fn simulate(config: &SimConfig, mix: &TenantMix) -> SimResult {
-    assert!(config.requests > 0 && config.group_target > 0);
-    assert!(config.offered_load > 0.0 && config.offered_load.is_finite());
-    let platform = config.platform.build();
-
-    // --- calibration: unoptimized service time of one representative group.
-    let Calibration { mean_interarrival_sec, batch_window_sec, sla_sec } = calibrate(
-        &platform,
-        mix,
-        config.group_target,
-        config.mini_batch,
-        config.offered_load,
-        config.sla_x,
-        config.dispatch.cold_budget,
-        config.overhead_sec_per_sample,
-        config.seed,
-    );
-
-    // --- trace + components.
-    let trace = generate_trace(
-        &TraceParams {
-            scenario: config.scenario,
-            requests: config.requests,
-            mean_interarrival_sec,
-            mini_batch: config.mini_batch,
-            seed: config.seed,
-        },
-        mix,
-    );
-    let batcher = AdmissionBatcher::new(BatchPolicy::new(
-        config.group_target,
-        config.max_wait_x * batch_window_sec,
-    ));
-    let mut service = MappingService::new(config.dispatch);
-    // Warm restart: install a persisted cache when one exists. A missing
-    // file is the normal first run; an unreadable one is reported and
-    // ignored (a serving fleet must come up cold rather than not at all).
-    if let Some(path) = &config.cache_path {
-        if path.exists() {
-            match MappingCache::load(path) {
-                Ok(cache) => service.install_cache(cache),
-                Err(e) => {
-                    eprintln!("warning: ignoring mapping cache at {}: {e}", path.display())
-                }
-            }
-        }
-    }
-
-    let (records, outcomes) = if config.overlap {
-        run_overlap(config, &platform, trace, batcher, &mut service)
-    } else {
-        run_legacy(config, &platform, trace, batcher, &mut service)
-    };
-
-    if let Some(path) = &config.cache_path {
-        if let Err(e) = service.cache().save(path) {
-            eprintln!("warning: could not persist mapping cache to {}: {e}", path.display());
-        }
-    }
-
-    let metrics = assemble_metrics(&records, &outcomes, cache_report(&service), mix, sla_sec);
-    SimResult { metrics, mean_interarrival_sec, sla_sec }
-}
-
-/// Builds the M3E problem of one dispatch group.
-pub(crate) fn group_problem(
-    platform: &magma_platform::AcceleratorPlatform,
-    group: &DispatchGroup,
-) -> M3e {
-    let jobs: Vec<_> =
-        group.arrivals.iter().enumerate().map(|(k, a)| a.job.clone().with_id(JobId(k))).collect();
-    M3e::new(platform.clone(), Group::new(jobs), Objective::Throughput)
-}
-
-/// Per-dispatch search seed, decorrelated by the golden-ratio stride.
-pub(crate) fn dispatch_seed(seed: u64, index: usize) -> u64 {
-    seed.wrapping_add((index as u64).wrapping_mul(K_SEED_STRIDE))
-}
-
-/// Appends the completed group's job records, given when execution started.
-pub(crate) fn record_group(
-    records: &mut Vec<JobRecord>,
-    group: &DispatchGroup,
-    outcome: &DispatchOutcome,
-    dispatched_sec: f64,
-    exec_start_sec: f64,
-) {
-    let mut end_by_job = vec![0.0f64; group.arrivals.len()];
-    for seg in outcome.schedule.segments() {
-        end_by_job[seg.job.0] = seg.end_sec;
-    }
-    for (k, a) in group.arrivals.iter().enumerate() {
-        records.push(JobRecord {
-            tenant: a.tenant,
-            arrival_sec: a.time_sec,
-            dispatched_sec,
-            completed_sec: exec_start_sec + end_by_job[k],
-            flops: a.job.flops(),
-        });
-    }
-}
-
-/// The legacy (serial) event loop: one timeline, the accelerator is busy
-/// through search *and* execution, the next group waits for both. Kept
-/// byte-compatible with the pre-overlap simulator — the mapper cost is still
-/// the search's full sample count times the per-sample overhead, charged as
-/// one lump before execution.
-fn run_legacy(
-    config: &SimConfig,
-    platform: &magma_platform::AcceleratorPlatform,
-    trace: Vec<crate::trace::Arrival>,
-    mut batcher: AdmissionBatcher,
-    service: &mut MappingService,
-) -> (Vec<JobRecord>, Vec<DispatchOutcome>) {
-    let mut records: Vec<JobRecord> = Vec::with_capacity(trace.len());
-    let mut outcomes: Vec<DispatchOutcome> = Vec::new();
-    let mut free_at = 0.0f64;
-    let mut next = 0usize;
-    loop {
-        let next_arrival = trace.get(next).map(|a| a.time_sec);
-        let dispatch_at = batcher.earliest_ready().map(|r| r.max(free_at));
-        match (next_arrival, dispatch_at) {
-            // The next arrival happens before (or exactly when) the next
-            // group could be cut: admit it first so it can join the group.
-            (Some(ta), Some(td)) if ta <= td => {
-                batcher.push(trace[next].clone());
-                next += 1;
-            }
-            (Some(_), None) => {
-                batcher.push(trace[next].clone());
-                next += 1;
-            }
-            (_, Some(td)) => {
-                let group = batcher.take_group(td).expect("ready time reached");
-                let problem = group_problem(platform, &group);
-                let outcome =
-                    service.map_group(&problem, dispatch_seed(config.seed, outcomes.len()));
-                let overhead = outcome.samples as f64 * config.overhead_sec_per_sample;
-                record_group(&mut records, &group, &outcome, td, td + overhead);
-                free_at = td + overhead + outcome.schedule.makespan_sec();
-                outcomes.push(outcome);
-            }
-            (None, None) => break,
-        }
-    }
-    (records, outcomes)
-}
-
-/// The overlap event loop: the mapper (search) and the accelerator
-/// (execution) are separate resources. A group is cut as soon as the batcher
-/// is ready *and the mapper is free* — not when the accelerator is — and its
-/// search advances in slices of `search_slice` samples through the steppable
-/// session API, each slice charging its **measured** spent samples to the
-/// mapper clock. Execution then starts at `max(search end, accelerator
-/// free)`: while group *g* executes, group *g+1*'s search is already
-/// running, hiding mapper latency behind execution. By the session-stepping
-/// invariant the slice size never changes any mapping result — only the
-/// virtual clock's granularity.
-fn run_overlap(
-    config: &SimConfig,
-    platform: &magma_platform::AcceleratorPlatform,
-    trace: Vec<crate::trace::Arrival>,
-    mut batcher: AdmissionBatcher,
-    service: &mut MappingService,
-) -> (Vec<JobRecord>, Vec<DispatchOutcome>) {
-    let mut records: Vec<JobRecord> = Vec::with_capacity(trace.len());
-    let mut outcomes: Vec<DispatchOutcome> = Vec::new();
-    let mut mapper_free = 0.0f64;
-    let mut accel_free = 0.0f64;
-    let mut next = 0usize;
     let slice = config.search_slice.max(1);
-    loop {
-        let next_arrival = trace.get(next).map(|a| a.time_sec);
-        let cut_at = batcher.earliest_ready().map(|r| r.max(mapper_free));
-        match (next_arrival, cut_at) {
-            (Some(ta), Some(td)) if ta <= td => {
-                batcher.push(trace[next].clone());
-                next += 1;
-            }
-            (Some(_), None) => {
-                batcher.push(trace[next].clone());
-                next += 1;
-            }
-            (_, Some(td)) => {
-                let group = batcher.take_group(td).expect("ready time reached");
-                let problem = group_problem(platform, &group);
-                let mut rng = StdRng::seed_from_u64(dispatch_seed(config.seed, outcomes.len()));
-                let plan = service.plan_group(&problem, &mut rng);
-                let budget = plan.budget();
-                // Advance the search in slices on the mapper clock; the
-                // accelerator may still be executing the previous group.
-                // The clock is recomputed from the session's *cumulative*
-                // measured samples (not accumulated per slice) so the sum's
-                // floating-point rounding — and therefore every metric — is
-                // bit-identical at any slice size.
-                let mut clock = td;
-                let mut session = service.start_search(&plan, &problem, &mut rng);
-                loop {
-                    let remaining = budget - session.spent();
-                    if remaining == 0 {
-                        break;
-                    }
-                    let report = session.step(remaining.min(slice));
-                    if report.spent == 0 {
-                        break;
-                    }
-                    // Measured per-step mapper cost, not a flat lump.
-                    clock = td + report.total_spent as f64 * config.overhead_sec_per_sample;
-                }
-                let outcome = service.complete_group(&problem, plan, session.finish());
-                let search_end = clock;
-                let exec_start = search_end.max(accel_free);
-                record_group(&mut records, &group, &outcome, td, exec_start);
-                accel_free = exec_start + outcome.schedule.makespan_sec();
-                mapper_free = search_end;
-                outcomes.push(outcome);
-            }
-            (None, None) => break,
-        }
-    }
-    (records, outcomes)
-}
-
-/// Seed stride decorrelating per-dispatch search RNG streams (the 64-bit
-/// golden ratio, as used by splitmix-style generators).
-pub(crate) const K_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The calibration group: the first `target` jobs of the mix, round-robin
-/// across tenants, re-identified 0..target.
-pub(crate) fn calibration_group(mix: &TenantMix, target: usize, mini_batch: usize) -> Group {
-    let mut streams: Vec<_> = mix.tenants().iter().map(|t| t.job_stream(mini_batch)).collect();
-    let tenants = streams.len();
-    let jobs = (0..target).map(|k| streams[k % tenants].next_job(JobId(k))).collect();
-    Group::new(jobs)
-}
-
-/// The cache block of one mapping service, as reported.
-pub(crate) fn cache_report(service: &MappingService) -> CacheReport {
-    let stats = service.cache_stats();
-    CacheReport {
-        hits: stats.hits,
-        misses: stats.misses,
-        near_hits: stats.near_hits,
-        evictions: stats.evictions,
-        hit_rate: stats.hit_rate(),
-        entries: service.cache_len(),
-    }
-}
-
-/// Folds the run's records into the metrics block. Takes the cache block by
-/// value so the fleet simulator can pass an aggregate over many shards.
-pub(crate) fn assemble_metrics(
-    records: &[JobRecord],
-    outcomes: &[DispatchOutcome],
-    cache: CacheReport,
-    mix: &TenantMix,
-    sla_sec: f64,
-) -> ServeMetrics {
-    let duration_sec = records.iter().map(|r| r.completed_sec).fold(0.0f64, f64::max);
-    let total_flops: u64 = records.iter().map(|r| r.flops).sum();
-    let (jobs_per_sec, throughput_gflops) = if duration_sec > 0.0 {
-        (records.len() as f64 / duration_sec, total_flops as f64 / duration_sec / 1e9)
-    } else {
-        (0.0, 0.0)
+    let fleet = FleetConfig {
+        shard_settings: vec![config.platform.clone()],
+        scenario: config.scenario,
+        requests: config.requests,
+        group_target: config.group_target,
+        max_wait_x: config.max_wait_x,
+        mini_batch: config.mini_batch,
+        offered_load: config.offered_load,
+        sla_x: config.sla_x,
+        overhead_sec_per_sample: config.overhead_sec_per_sample,
+        dispatch: config.dispatch,
+        shared_cache_capacity: 0,
+        shared_tenant_quota: 0,
+        // Persisted through the exact file below, not per-shard files.
+        cache_path: None,
+        policy: FleetPolicy::Uniform,
+        max_live: 1,
+        base_slice: slice,
+        min_slice: slice,
+        preempt_margin: 0.0,
+        mapper_pressure: 0.0,
+        seed: config.seed,
     };
-
-    let queueing = LatencyStats::from_samples(
-        records.iter().map(|r| r.dispatched_sec - r.arrival_sec).collect(),
-    );
-    let service_lat = LatencyStats::from_samples(
-        records.iter().map(|r| r.completed_sec - r.dispatched_sec).collect(),
-    );
-    let end_to_end = LatencyStats::from_samples(
-        records.iter().map(|r| r.completed_sec - r.arrival_sec).collect(),
-    );
-
-    let tenants = mix
-        .tenants()
-        .iter()
-        .enumerate()
-        .map(|(i, tenant)| {
-            let latencies: Vec<f64> = records
-                .iter()
-                .filter(|r| r.tenant == i)
-                .map(|r| r.completed_sec - r.arrival_sec)
-                .collect();
-            let jobs = latencies.len();
-            // Per-tenant SLA contract: the baseline bound scaled by the
-            // tenant's multiplier (uniform bound without a contract).
-            let tenant_sla_sec = tenant.effective_sla_sec(sla_sec);
-            let sla_violations = latencies.iter().filter(|&&l| l > tenant_sla_sec).count();
-            TenantReport {
-                tenant: tenant.name().to_string(),
-                task: tenant.task(),
-                jobs,
-                latency: LatencyStats::from_samples(latencies),
-                sla_sec: tenant_sla_sec,
-                sla_multiplier: tenant.sla_multiplier().unwrap_or(1.0),
-                sla_violations,
-                sla_violation_rate: if jobs == 0 {
-                    0.0
-                } else {
-                    sla_violations as f64 / jobs as f64
-                },
-            }
-        })
-        .collect();
-
-    ServeMetrics {
-        jobs: records.len(),
-        duration_sec,
-        jobs_per_sec,
-        throughput_gflops,
-        queueing,
-        service: service_lat,
-        end_to_end,
-        tenants,
-        cache,
-        dispatch: DispatchSummary::from_outcomes(outcomes),
+    let files = config.cache_path.iter().cloned().collect();
+    let result = fleet::run(&fleet, mix, files, !config.overlap);
+    SimResult {
+        metrics: result.metrics,
+        mean_interarrival_sec: result.mean_interarrival_sec,
+        sla_sec: result.sla_sec,
     }
 }
 

@@ -88,52 +88,60 @@ fn different_seeds_produce_different_fleet_reports() {
 }
 
 /// The degenerate-fleet contract: one shard, the Uniform policy, one live
-/// session, no value preemption and a slice at least the search budget is
-/// — floating point for floating point, RNG draw for RNG draw — the
-/// single-queue overlap simulator. Bit-identical metrics, not approximate.
+/// session, no value preemption and no shared tier is — floating point for
+/// floating point, RNG draw for RNG draw — the single-queue overlap
+/// simulator. Bit-identical metrics, not approximate, at every slice size:
+/// the fleet's mapper clock is recomputed from cumulative samples, so one
+/// sample per slice, an odd slice, the shipped default and a slice of at
+/// least the whole budget must all agree.
 #[test]
 fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
-    let serve = ServeKnobs {
-        requests: 60,
-        group_target: 6,
-        cold_budget: 40,
-        refine_budget: 4,
-        cache_capacity: 12,
-        offered_load: 12.0,
-        overlap: true,
-        search_slice: 1 << 14, // ≥ every budget: one step per search
-        seed: 7,
-        ..ServeKnobs::smoke()
-    };
     let mix = TenantMix::synthetic(10, 3);
-    for scenario in [Scenario::Poisson, Scenario::Bursty] {
-        let sim = simulate(&SimConfig::from_knobs(&serve, scenario), &mix);
-        let fleet_knobs = FleetKnobs {
-            serve: serve.clone(),
-            shards: 1,
-            shard_settings: vec![Setting::S2],
-            requests: serve.requests,
-            tenants: 10,
-            offered_load: serve.offered_load,
-            max_live: 1,
-            policy: FleetPolicy::Uniform,
-            min_slice: 4,
-            preempt_margin: 0.0,
-            // The shared tier and the single-queue simulator are different
-            // machines: the degenerate-fleet equivalence only holds with
-            // the tier off.
-            shared_cache_capacity: 0,
-            shared_tenant_quota: 0,
+    let shipped_slice = ServeKnobs::full().search_slice;
+    assert_eq!(shipped_slice, 32, "the slice ladder below names the shipped default");
+    for search_slice in [1, 3, shipped_slice, 1 << 14] {
+        let serve = ServeKnobs {
+            requests: 60,
+            group_target: 6,
+            cold_budget: 40,
+            refine_budget: 4,
+            cache_capacity: 12,
+            offered_load: 12.0,
+            overlap: true,
+            search_slice,
+            seed: 7,
+            ..ServeKnobs::smoke()
         };
-        let fleet = fleet_simulate(&FleetConfig::from_knobs(&fleet_knobs, 1, scenario), &mix);
-        assert_eq!(
-            fleet.metrics, sim.metrics,
-            "{scenario:?}: a 1-shard Uniform fleet must equal the single-queue simulator"
-        );
-        assert_eq!(fleet.mean_interarrival_sec, sim.mean_interarrival_sec);
-        assert_eq!(fleet.sla_sec, sim.sla_sec);
-        assert_eq!(fleet.sched.preemptions(), 0);
-        assert_eq!(fleet.per_shard_jobs, vec![serve.requests]);
+        for scenario in [Scenario::Poisson, Scenario::Bursty, Scenario::Drift] {
+            let sim = simulate(&SimConfig::from_knobs(&serve, scenario), &mix);
+            let fleet_knobs = FleetKnobs {
+                serve: serve.clone(),
+                shards: 1,
+                shard_settings: vec![Setting::S2],
+                requests: serve.requests,
+                tenants: 10,
+                offered_load: serve.offered_load,
+                max_live: 1,
+                policy: FleetPolicy::Uniform,
+                min_slice: 4,
+                preempt_margin: 0.0,
+                // The shared tier and the single-queue simulator are
+                // different machines: the degenerate-fleet equivalence only
+                // holds with the tier off.
+                shared_cache_capacity: 0,
+                shared_tenant_quota: 0,
+            };
+            let fleet = fleet_simulate(&FleetConfig::from_knobs(&fleet_knobs, 1, scenario), &mix);
+            assert_eq!(
+                fleet.metrics, sim.metrics,
+                "{scenario:?}, slice {search_slice}: a 1-shard Uniform fleet must equal the \
+                 single-queue simulator"
+            );
+            assert_eq!(fleet.mean_interarrival_sec, sim.mean_interarrival_sec);
+            assert_eq!(fleet.sla_sec, sim.sla_sec);
+            assert_eq!(fleet.sched.preemptions(), 0);
+            assert_eq!(fleet.per_shard_jobs, vec![serve.requests]);
+        }
     }
 }
 

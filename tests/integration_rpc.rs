@@ -18,18 +18,23 @@
 //! * **The loadgen → `BENCH_rpc.json` pipeline** — a wall-clock replay
 //!   produces a report that passes its own `magma-rpc/v1` self-check
 //!   with zero dropped in-flight submits.
+//! * **The engine under the daemon, against a model** (proptest) — random
+//!   `submit`/`cancel`/`poll`/`drain` sequences at synthetic times give
+//!   every job of every accepted token exactly one terminal, never before
+//!   its submission, with stats that add up, and replay bit-identically.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use magma_model::{Job, JobId, LayerShape, TaskType, TenantMix};
 use magma_platform::settings::ServerKnobs;
 use magma_serve::engine::shard_cache_file;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
-use magma_serve::{EngineConfig, ScenarioDescriptor};
+use magma_serve::{Admission, EngineConfig, JobCompletion, ScenarioDescriptor, ServeEngine};
 use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
 use magma_server::loadgen::{self, LoadgenParams};
+use proptest::prelude::*;
 
 const MAX_FRAME: usize = 1 << 20;
 const STEP: Duration = Duration::from_millis(20);
@@ -325,4 +330,131 @@ fn the_loadgen_pipeline_emits_a_self_consistent_report() {
     // One job per request: accepted submits and accounted jobs line up.
     assert_eq!(report.server.completed_jobs + report.server.cancelled_jobs, report.accepted as u64);
     server.join();
+}
+
+// ---------------------------------------------------------------------------
+// The engine against a model (proptest): synthetic time, no sockets.
+// ---------------------------------------------------------------------------
+
+/// What one engine call returned, for the replay comparison.
+#[derive(Debug)]
+enum Reply {
+    Admission(Admission),
+    Cancel(bool),
+    Polled(Vec<JobCompletion>),
+    Drained(Vec<JobCompletion>),
+}
+
+/// One played op sequence: every reply, the accepted tokens' submission
+/// times and job counts, the acknowledged cancels and the final stats.
+struct Played {
+    replies: Vec<Reply>,
+    accepted: HashMap<u64, (f64, usize)>,
+    cancelled: HashSet<u64>,
+    stats: magma_serve::EngineStats,
+}
+
+/// Plays one op sequence on a fresh two-shard engine. Each op is `(kind,
+/// arg, dt_ms)`: the clock first advances by `dt_ms` (so time never goes
+/// backwards), then `kind` 0-6 submits `1 + arg % 3` jobs for tenant `arg %
+/// 4` under a fresh token, 7-8 cancels the `arg`-th accepted token, 9-14
+/// polls and 15 drains. A final drain always closes the sequence.
+fn play_engine(ops: &[(u8, usize, u32)]) -> Played {
+    let mut knobs = tiny_knobs();
+    // Tight enough that timeouts and backpressure both occur.
+    knobs.timeout_sec = 0.05;
+    knobs.pending_per_shard = 1;
+    knobs.max_backlog_sec = 0.02;
+    let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), TenantMix::synthetic(4, 0));
+    let mut replies = Vec::new();
+    let mut accepted: HashMap<u64, (f64, usize)> = HashMap::new();
+    let mut order: Vec<u64> = Vec::new();
+    let mut cancelled = HashSet::new();
+    let mut now = 0.0f64;
+    let mut next_token = 0u64;
+    for &(kind, arg, dt_ms) in ops {
+        now += dt_ms as f64 * 1e-3;
+        match kind {
+            0..=6 => {
+                let token = next_token;
+                next_token += 1;
+                let n = 1 + arg % 3;
+                let jobs = (0..n).map(|k| job(arg + k)).collect();
+                let admission = engine.submit(now, token, arg % 4, jobs);
+                if admission == Admission::Accepted {
+                    accepted.insert(token, (now, n));
+                    order.push(token);
+                }
+                replies.push(Reply::Admission(admission));
+            }
+            7 | 8 if !order.is_empty() => {
+                let token = order[arg % order.len()];
+                let acked = engine.cancel(now, token);
+                if acked {
+                    cancelled.insert(token);
+                }
+                replies.push(Reply::Cancel(acked));
+            }
+            15 => replies.push(Reply::Drained(engine.drain(now))),
+            _ => replies.push(Reply::Polled(engine.poll(now))),
+        }
+    }
+    replies.push(Reply::Drained(engine.drain(now)));
+    Played { replies, accepted, cancelled, stats: engine.stats() }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn the_engine_matches_its_model_on_random_call_sequences(
+        ops in proptest::collection::vec((0u8..16, 0usize..64, 0u32..20), 1..64)
+    ) {
+        let Played { replies, accepted, cancelled, stats } = play_engine(&ops);
+
+        // Exactly one terminal per job of every accepted token, never
+        // before its submission; only acknowledged cancels flag `cancelled`.
+        let mut seen = HashSet::new();
+        let mut draining = false;
+        for reply in &replies {
+            match reply {
+                Reply::Polled(completions) | Reply::Drained(completions) => {
+                    for c in completions {
+                        let Some(&(submitted, n)) = accepted.get(&c.token) else {
+                            return Err(TestCaseError::fail(format!("unaccepted token {c:?}")));
+                        };
+                        prop_assert!(c.job_index < n, "job index out of range: {:?}", c);
+                        prop_assert!(seen.insert((c.token, c.job_index)), "duplicate {:?}", c);
+                        prop_assert!(c.completed_sec >= submitted, "completed early: {:?}", c);
+                        prop_assert!(!c.cancelled || cancelled.contains(&c.token));
+                    }
+                }
+                Reply::Admission(admission) if draining => {
+                    prop_assert_eq!(admission, &Admission::Draining);
+                }
+                _ => {}
+            }
+            // A mid-sequence drain closes admissions for good.
+            draining |= matches!(reply, Reply::Drained(_));
+        }
+        let jobs: usize = accepted.values().map(|&(_, n)| n).sum();
+        prop_assert!(seen.len() == jobs, "{} of {} accepted jobs reached a terminal", seen.len(), jobs);
+
+        // The stats partitions add up once drained, with nothing left over.
+        prop_assert_eq!(stats.accepted as usize, accepted.len());
+        let acks = replies.iter().filter(|r| matches!(r, Reply::Cancel(true))).count();
+        prop_assert_eq!(stats.cancelled as usize, acks);
+        prop_assert_eq!(acks, cancelled.len());
+        prop_assert_eq!((stats.completed_jobs + stats.cancelled_jobs) as usize, jobs);
+        // A session that `cancel` removes whole counts as neither completed
+        // nor preempted.
+        prop_assert!(stats.admitted_sessions >= stats.completed_sessions + stats.preempted_sessions);
+        prop_assert_eq!(stats.queued_jobs, 0);
+        prop_assert_eq!(stats.live_sessions, 0);
+
+        // Replaying the same sequence is bit-identical.
+        let again = play_engine(&ops);
+        prop_assert_eq!(format!("{replies:?}"), format!("{:?}", again.replies));
+        prop_assert_eq!(stats, again.stats);
+    }
 }
