@@ -24,22 +24,22 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! | Option | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVE_MODE=smoke` | CI scale: tiny grid (probe off vs shipped epsilon) |
-//! | `MAGMA_SERVE_*` | the underlying serving knobs (trace size, budgets, seed) |
-//! | `--scenario <file>` | sweep on a registry scenario's trace instead of the standard Poisson mix |
+//! | `--smoke` | CI scale (`ServeKnobs::smoke`): tiny grid (probe off vs shipped epsilon) |
+//! | `--scenario <file>` | sweep on a registry scenario's trace instead of the standard Poisson mix; its `traffic` and `serving` blocks pin requests, load, seed and the shipped point |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_cache.json` |
 
+use magma::platform::settings::ServeKnobs;
 use magma_serve::sweep::{run_cache_sweep, run_cache_sweep_custom, write_cache_json, SweepPoint};
 use magma_serve::CacheSweepReport;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVE_MODE");
+    let cli = magma_bench::serving_cli(&[]);
     let (smoke, scenario) = (cli.smoke, cli.scenario);
-    let knobs = magma::platform::settings::ServeKnobs::from_env(smoke);
+    let knobs = if smoke { ServeKnobs::smoke() } else { ServeKnobs::full() };
     println!("==============================================================");
     println!("cache_sweep — mapping-cache calibration (magma-serve)");
     println!(

@@ -23,36 +23,24 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! | Option | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_FLEET_MODE=smoke` | CI scale: 400 requests, 32 tenants, ladder {1, N} |
-//! | `MAGMA_FLEET_SHARDS` | widest rung of the shard ladder |
-//! | `MAGMA_FLEET_SETTINGS` | comma-separated Table III settings cycled across shards |
-//! | `MAGMA_FLEET_REQUESTS` | arrivals per rung |
-//! | `MAGMA_FLEET_TENANTS` | synthetic tenant count |
-//! | `MAGMA_FLEET_LOAD` | offered load vs one calibrated reference shard |
-//! | `MAGMA_FLEET_MAX_LIVE` | live search sessions per shard mapper |
-//! | `MAGMA_FLEET_POLICY` | `uniform` or `deadline` scheduling |
-//! | `MAGMA_FLEET_MIN_SLICE` | deadline-policy slice floor (samples) |
-//! | `MAGMA_FLEET_PREEMPT` | value-preemption margin (0 disables) |
-//! | `MAGMA_FLEET_SHARED_CACHE` | shared cache tier entries (0 disables the tier) |
-//! | `MAGMA_FLEET_TENANT_QUOTA` | per-tenant entry quota over the shared tier (0 = unlimited) |
-//! | `MAGMA_SERVE_CACHE_PATH` | per-shard cache persistence at `<path>.shard<i>` |
-//! | `MAGMA_SERVE_*` | the underlying serving knobs (budgets, cache, SLA, seed) |
-//! | `--scenario <file>` | run a registry scenario file instead of the standard set |
+//! | `--smoke` | CI scale (`FleetKnobs::smoke`): 400 requests, 32 tenants, ladder {1, 4} |
+//! | `--scenario <file>` | run a registry scenario file instead of the standard set; its `traffic` and `serving` blocks pin requests, load, seed, cache and SLA settings |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_fleet.json` |
 
+use magma::platform::settings::FleetKnobs;
 use magma_serve::fleet::{
     run_fleet_custom, run_fleet_ladder, write_fleet_json, FleetRung, FleetScenarioResult,
 };
 use magma_serve::FleetReport;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_FLEET_MODE");
+    let cli = magma_bench::serving_cli(&[]);
     let (smoke, scenario) = (cli.smoke, cli.scenario);
-    let knobs = magma::platform::settings::FleetKnobs::from_env(smoke);
+    let knobs = if smoke { FleetKnobs::smoke() } else { FleetKnobs::full() };
     println!("==============================================================");
     println!("fleet_sim — fleet-scale multi-shard serving (magma-serve)");
     println!(

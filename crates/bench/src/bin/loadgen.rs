@@ -20,19 +20,17 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! | Option | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVER_MODE=smoke` | CI scale: fewer requests, higher rate |
-//! | `MAGMA_SERVER_ADDR` | daemon address to dial (default `127.0.0.1:4270`) |
-//! | `MAGMA_SERVER_RATE` | offered rate, groups per wall-clock second |
-//! | `MAGMA_SERVER_REQUESTS` | trace length (arrivals replayed) |
-//! | `MAGMA_SERVER_TIMEOUT_SEC` | client-side wait bound for stragglers |
-//! | `MAGMA_SERVER_MAX_FRAME` | RPC frame size limit in bytes |
+//! | `--smoke` | CI scale (`ServerKnobs::smoke`): 96 requests at 16 groups/s |
+//! | `--addr <host:port>` | daemon address to dial (default `127.0.0.1:4270`) |
+//! | `--requests <n>` | trace length (a scenario file's `traffic.requests` wins) |
 //! | `--scenario <file>` | replay a registry scenario's traffic/mix |
 //! | `MAGMA_SCENARIO_DIR` | registry root for scenario references (default `scenarios/`) |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_rpc.json` |
 
 use magma::platform::settings::ServerKnobs;
+use magma_bench::Flag;
 use magma_model::TenantMix;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
 use magma_serve::ScenarioDescriptor;
@@ -40,9 +38,11 @@ use magma_server::loadgen::{self, LoadgenParams};
 use magma_server::write_rpc_json;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVER_MODE");
+    let cli = magma_bench::serving_cli(&[Flag::Requests, Flag::Addr]);
     let smoke = cli.smoke;
-    let knobs = ServerKnobs::from_env(smoke);
+    let mut knobs = if smoke { ServerKnobs::smoke() } else { ServerKnobs::full() };
+    knobs.addr = cli.addr.unwrap_or(knobs.addr);
+    knobs.requests = cli.requests.unwrap_or(knobs.requests);
     let mode = if smoke { "smoke" } else { "full" };
 
     println!("==============================================================");
@@ -58,9 +58,9 @@ fn main() {
                 resolved.mix.len(),
                 resolved.descriptor.content_hash
             );
-            let requests = resolved.requests.unwrap_or(knobs.requests);
-            let seed = resolved.seed.unwrap_or(knobs.fleet.serve.seed);
-            (resolved.scenario, resolved.mix.clone(), requests, seed, resolved.descriptor)
+            let knobs = knobs.with_overrides(&resolved.overrides);
+            let seed = knobs.fleet.serve.seed;
+            (resolved.scenario, resolved.mix.clone(), knobs.requests, seed, resolved.descriptor)
         }
         None => {
             let seed = knobs.fleet.serve.seed;

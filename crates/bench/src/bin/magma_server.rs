@@ -5,39 +5,35 @@
 //! batches, places and searches them against `Instant::now()`, and every
 //! group's execution is reported back as a multiplexed `done` response.
 //! The process runs until a client sends `drain`: admissions close, every
-//! live session finishes, shard caches persist (when
-//! `MAGMA_SERVE_CACHE_PATH` is set) and the daemon exits with a final
-//! counter summary.
+//! live session finishes, shard caches persist (when `--cache-path` is
+//! given) and the daemon exits with a final counter summary.
 //!
 //! With `--scenario <file>` the platform and tenant mix come from a
 //! registry scenario (`magma-registry`) instead of the synthetic
-//! defaults; the scenario's cache/SLA residuals apply to the engine.
+//! defaults; the scenario's seed and cache/SLA pins apply to the engine.
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! | Option | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVER_MODE=smoke` | CI scale: smaller budgets, tighter timeout |
-//! | `MAGMA_SERVER_ADDR` | bind address (default `127.0.0.1:4270`; port 0 = ephemeral) |
-//! | `MAGMA_SERVER_BACKLOG_SEC` | projected-backlog bound before `busy` rejections |
-//! | `MAGMA_SERVER_PENDING` | bounded admission queue per shard (planned groups) |
-//! | `MAGMA_SERVER_TIMEOUT_SEC` | wall-clock session timeout (early finish + `timed_out`) |
-//! | `MAGMA_SERVER_MAX_FRAME` | RPC frame size limit in bytes |
-//! | `MAGMA_SERVER_RATE` | target rate used to price the batching window |
-//! | `MAGMA_FLEET_*` / `MAGMA_SERVE_*` | the underlying fleet/serving knobs |
-//! | `MAGMA_SERVE_CACHE_PATH` | per-shard cache persistence at `<path>.shard<i>` |
+//! | `--smoke` | CI scale (`ServerKnobs::smoke`): smaller budgets, tighter timeout |
+//! | `--addr <host:port>` | bind address (default `127.0.0.1:4270`; port 0 = ephemeral) |
+//! | `--cache-path <file>` | per-shard cache persistence at `<file>.shard<i>` |
 //! | `--scenario <file>` | serve a registry scenario's platform/mix |
 //! | `MAGMA_SCENARIO_DIR` | registry root for scenario references (default `scenarios/`) |
 
 use magma::platform::settings::{PlatformSpec, ServerKnobs};
+use magma_bench::Flag;
 use magma_model::TenantMix;
 use magma_serve::EngineConfig;
 use magma_server::Server;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVER_MODE");
+    let cli = magma_bench::serving_cli(&[Flag::Addr, Flag::CachePath]);
     let smoke = cli.smoke;
-    let mut knobs = ServerKnobs::from_env(smoke);
+    let mut knobs = if smoke { ServerKnobs::smoke() } else { ServerKnobs::full() };
+    knobs.addr = cli.addr.unwrap_or(knobs.addr);
+    knobs.fleet.serve.cache_path = cli.cache_path;
 
     println!("==============================================================");
     println!("magma_server — wall-clock RPC serving daemon (magma-server)");
@@ -45,11 +41,7 @@ fn main() {
     let (config, mix) = match &cli.scenario {
         Some(path) => {
             let resolved = magma_bench::resolve_scenario_or_exit(path);
-            let custom = resolved.custom();
-            knobs.fleet.serve = custom.apply_serving(&knobs.fleet.serve);
-            if let Some(seed) = custom.seed {
-                knobs.fleet.serve.seed = seed;
-            }
+            knobs = knobs.with_overrides(&resolved.overrides);
             let mut config = EngineConfig::from_knobs(&knobs);
             config.shard_settings =
                 vec![PlatformSpec::Custom(resolved.platform.clone()); knobs.fleet.shards];

@@ -26,28 +26,17 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! | Option | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVE_MODE=smoke` | CI scale: 96 requests, groups of 8, 60/6 budgets, 2 scenarios |
-//! | `MAGMA_SERVE_REQUESTS` | arrivals per scenario |
-//! | `MAGMA_SERVE_GROUP` | dispatch-group size target |
-//! | `MAGMA_SERVE_MAX_WAIT_X` | admission deadline in batch windows |
-//! | `MAGMA_SERVE_CACHE_CAP` | mapping-cache capacity (LRU) |
-//! | `MAGMA_SERVE_COLD_BUDGET` | cache-miss search budget |
-//! | `MAGMA_SERVE_REFINE_BUDGET` | cache-hit refinement budget |
-//! | `MAGMA_SERVE_QUANT` | cache-key quantization step (nats) |
-//! | `MAGMA_SERVE_CACHE_EPSILON` | nearest-key cache probe threshold (0 = exact-key only) |
-//! | `MAGMA_SERVE_LOAD` | offered load vs calibrated service rate |
-//! | `MAGMA_SERVE_SLA_X` | SLA tolerance factor |
-//! | `MAGMA_SERVE_OVERHEAD_US` | virtual mapper cost per sample (µs) |
-//! | `MAGMA_SERVE_OVERLAP` | `0` makes legacy the primary ladder (both are always simulated) |
-//! | `MAGMA_SERVE_SLICE` | samples per search slice (result-invariant) |
-//! | `MAGMA_SERVE_SEED` | trace/search seed |
-//! | `--scenario <file>` | run a registry scenario file instead of the builtin ladder |
+//! | `--smoke` | CI scale (`ServeKnobs::smoke`): 96 requests, groups of 8, 60/6 budgets, 2 scenarios |
+//! | `--requests <n>` | arrivals per scenario (a scenario file's `traffic.requests` wins) |
+//! | `--scenario <file>` | run a registry scenario file instead of the builtin ladder; its `traffic` and `serving` blocks pin load, seed, cache and SLA settings |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_serve.json` |
 
+use magma::platform::settings::ServeKnobs;
+use magma_bench::Flag;
 use magma_serve::metrics::LatencyStats;
 use magma_serve::report::{
     run_custom_scenario, run_standard_scenarios, write_bench_json, ScenarioResult,
@@ -55,9 +44,10 @@ use magma_serve::report::{
 use magma_serve::ServeReport;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVE_MODE");
+    let cli = magma_bench::serving_cli(&[Flag::Requests]);
     let (smoke, scenario) = (cli.smoke, cli.scenario);
-    let knobs = magma::platform::settings::ServeKnobs::from_env(smoke);
+    let mut knobs = if smoke { ServeKnobs::smoke() } else { ServeKnobs::full() };
+    knobs.requests = cli.requests.unwrap_or(knobs.requests);
     println!("==============================================================");
     println!("serve_sim — online multi-tenant serving (magma-serve)");
     println!(
@@ -73,11 +63,6 @@ fn main() {
         knobs.search_slice,
         knobs.seed
     );
-    println!(
-        "primary serving mode: {} (MAGMA_SERVE_OVERLAP={})",
-        if knobs.overlap { "overlap" } else { "legacy" },
-        knobs.overlap as u8
-    );
     println!("==============================================================");
 
     let report = match &scenario {
@@ -90,7 +75,7 @@ fn main() {
                 resolved.platform.name(),
                 resolved.platform_def.core_count(),
                 resolved.mix.len(),
-                resolved.requests.unwrap_or(knobs.requests),
+                resolved.overrides.requests.unwrap_or(knobs.requests),
                 resolved.descriptor.content_hash
             );
             run_custom_scenario(&knobs, smoke, &resolved.custom())
@@ -184,7 +169,7 @@ fn print_report(report: &ServeReport) {
     for s in &report.scenarios {
         print_scenario(s);
     }
-    println!("\n--- baseline ({}) ---", if report.primary_overlap { "legacy" } else { "overlap" });
+    println!("\n--- baseline (legacy) ---");
     for s in &report.baseline_scenarios {
         print_scenario(s);
     }
@@ -217,7 +202,7 @@ fn check_acceptance(report: &ServeReport) {
             .clone()
     };
     // Cache economics hold in both serving modes.
-    for ladder in [report.overlap_scenarios(), report.legacy_scenarios()] {
+    for ladder in [&report.scenarios, &report.baseline_scenarios] {
         let d = repeat(ladder).metrics.dispatch;
         assert!(d.hits > 0, "repeated-tenant traffic produced no cache hits");
         assert!(
@@ -232,8 +217,8 @@ fn check_acceptance(report: &ServeReport) {
         );
     }
     // Overlap must strictly beat legacy end-to-end on the repeated trace.
-    let overlap = repeat(report.overlap_scenarios());
-    let legacy = repeat(report.legacy_scenarios());
+    let overlap = repeat(&report.scenarios);
+    let legacy = repeat(&report.baseline_scenarios);
     assert!(
         overlap.metrics.end_to_end.mean_sec < legacy.metrics.end_to_end.mean_sec,
         "overlap mean e2e {:.1} µs is not below legacy {:.1} µs",

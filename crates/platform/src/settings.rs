@@ -1,7 +1,13 @@
-//! The six accelerator settings of Table III, their default bandwidths, and
-//! the process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_MEMO`,
-//! `MAGMA_SIGNATURE_PROFILE` and the `MAGMA_SERVE_*` family read by
-//! [`ServeKnobs`]).
+//! The six accelerator settings of Table III, their default bandwidths, the
+//! process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_MEMO`,
+//! `MAGMA_SIGNATURE_PROFILE`), and the typed run configuration of the serving
+//! binaries.
+//!
+//! A serving run is configured by data, never by the environment: a
+//! [`ServeKnobs`] / [`FleetKnobs`] / [`ServerKnobs`] preset (`full()`, or
+//! `smoke()` for CI scale), refined by the pins of a registry scenario file
+//! ([`ScenarioOverrides`], applied by the knob types' `with_overrides`).
+//! Library callers and tests set any other field directly.
 
 use crate::platform::{AcceleratorPlatform, DEFAULT_LARGE_BW_GBPS, DEFAULT_SMALL_BW_GBPS};
 use magma_cost::{DataflowStyle, SubAccelConfig};
@@ -53,22 +59,6 @@ pub fn magma_signature_profile() -> bool {
     env_flag("MAGMA_SIGNATURE_PROFILE", true)
 }
 
-/// Parses environment variable `name` into `T`, falling back to `default`
-/// when unset, empty or unparsable. This is the single parse/default path
-/// every `MAGMA_*` knob family goes through; the malformed-value fallback is
-/// unit-tested once, centrally, on [`parse_or`].
-pub fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    parse_or(std::env::var(name).ok().as_deref(), default)
-}
-
-/// Pure core of [`env_parse`]: parses `raw` (the environment value, if the
-/// variable was set) into `T`, falling back to `default` when absent, empty,
-/// whitespace-only or unparsable. Split out so the fallback semantics are
-/// testable without mutating the process environment.
-pub fn parse_or<T: std::str::FromStr>(raw: Option<&str>, default: T) -> T {
-    raw.and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
 /// Reads a boolean environment knob: `0`, `off` or `false` (any case,
 /// surrounding whitespace ignored) disable it, anything else — including the
 /// empty string — leaves it enabled. Unset falls back to `default`.
@@ -87,33 +77,19 @@ pub fn flag_or(raw: Option<&str>, default: bool) -> bool {
     }
 }
 
-/// The `MAGMA_SERVE_*` knob family configuring the online serving simulator
-/// (`magma-serve` / the `serve_sim` binary).
-///
-/// | Variable | Field | Meaning |
-/// |---|---|---|
-/// | `MAGMA_SERVE_REQUESTS` | `requests` | arrivals per simulated scenario |
-/// | `MAGMA_SERVE_GROUP` | `group_target` | dispatch-group size target of the admission batcher |
-/// | `MAGMA_SERVE_MAX_WAIT_X` | `max_wait_x` | admission deadline, in multiples of one mean batch-formation window (`group_target × mean inter-arrival`) |
-/// | `MAGMA_SERVE_CACHE_CAP` | `cache_capacity` | bounded LRU capacity of the signature-keyed mapping cache |
-/// | `MAGMA_SERVE_COLD_BUDGET` | `cold_budget` | sampling budget of a full (cache-miss) MAGMA search |
-/// | `MAGMA_SERVE_REFINE_BUDGET` | `refine_budget` | sampling budget of a cache-hit refinement |
-/// | `MAGMA_SERVE_QUANT` | `quant_step` | log-scale quantization step of the cache key (nats) |
-/// | `MAGMA_SERVE_LOAD` | `offered_load` | offered load relative to the calibrated (unoptimized) service rate |
-/// | `MAGMA_SERVE_SLA_X` | `sla_x` | per-job SLA bound, in multiples of one batch window + calibrated service time |
-/// | `MAGMA_SERVE_OVERHEAD_US` | `overhead_us_per_sample` | virtual mapper cost charged per search sample, in µs |
-/// | `MAGMA_SERVE_OVERLAP` | `overlap` | `0`/`off`/`false` disables overlap mode (search slices interleaved with execution); default on |
-/// | `MAGMA_SERVE_SLICE` | `search_slice` | samples per search slice (result-invariant) |
-/// | `MAGMA_SERVE_CACHE_EPSILON` | `cache_epsilon` | nearest-key cache probe threshold (mean signature distance); `0` = exact-key only |
-/// | `MAGMA_SERVE_CACHE_PATH` | `cache_path` | mapping-cache persistence file: loaded (if present) before a run, saved after — warm restarts; empty/unset disables |
-/// | `MAGMA_SERVE_SEED` | `seed` | trace/search seed |
+/// The serving configuration of the online serving simulator (`magma-serve`
+/// / the `serve_sim` and `cache_sweep` binaries): budgets, cache geometry,
+/// batching and SLA tolerance. [`ServeKnobs::full`] and [`ServeKnobs::smoke`]
+/// are the two presets; a registry scenario file refines them through
+/// [`ServeKnobs::with_overrides`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeKnobs {
     /// Arrivals per simulated scenario.
     pub requests: usize,
     /// Dispatch-group size target of the admission batcher.
     pub group_target: usize,
-    /// Admission deadline in batch-formation windows.
+    /// Admission deadline, in multiples of one mean batch-formation window
+    /// (`group_target × mean inter-arrival`).
     pub max_wait_x: f64,
     /// Capacity of the signature-keyed mapping cache (bounded LRU).
     pub cache_capacity: usize,
@@ -129,26 +105,21 @@ pub struct ServeKnobs {
     pub sla_x: f64,
     /// Virtual mapper cost charged per search sample, in microseconds.
     pub overhead_us_per_sample: f64,
-    /// Whether the simulator overlaps search with accelerator execution
-    /// (default on): a group's search advances in budget slices while the
-    /// previous group executes, instead of serializing search and execution
-    /// on one timeline.
-    pub overlap: bool,
-    /// Samples per search slice in overlap mode. Slicing never changes any
-    /// search result (the session-stepping invariant); it is purely the
-    /// granularity at which the virtual mapper clock advances.
+    /// Samples per search slice. Slicing never changes any search result
+    /// (the session-stepping invariant); it is purely the granularity at
+    /// which the virtual mapper clock advances.
     pub search_slice: usize,
     /// Nearest-key cache probe threshold: on an exact-key miss, a stored
     /// solution whose signatures are within this mean `JobSignature`
     /// distance of the group's is still served as a (near) hit. `0.0`
-    /// disables the probe (exact-key only — the pre-calibration default,
-    /// one `MAGMA_SERVE_CACHE_EPSILON=0` away).
+    /// disables the probe (exact-key only — the pre-calibration default).
     pub cache_epsilon: f64,
-    /// Mapping-cache persistence file: when set, the simulator loads the
-    /// cache from this path before the run (if the file exists) and saves
-    /// it back afterwards, so a restart starts warm. `None` (the default)
-    /// keeps the cache in-memory only. The fleet simulator derives one file
-    /// per shard by appending `.shard<i>`.
+    /// Mapping-cache persistence file: when set, a run loads the cache from
+    /// this path before it starts (if the file exists) and saves it back
+    /// afterwards, so a restart starts warm. `None` (the default) keeps the
+    /// cache in-memory only. Fleets and the daemon derive one file per
+    /// shard by appending `.shard<i>`; the benchmark ladders always start
+    /// cold and ignore it.
     pub cache_path: Option<String>,
     /// Trace/search seed.
     pub seed: u64,
@@ -173,15 +144,15 @@ impl ServeKnobs {
             offered_load: 0.7,
             sla_x: 3.0,
             overhead_us_per_sample: 1.0,
-            overlap: true,
             search_slice: 32,
             // Calibrated by the `cache_sweep` frontier (the committed
             // `BENCH_cache.json`): the largest probe threshold whose
             // matched quality — mean mapped GFLOP/s per dispatch vs the
             // probe-off run on the same trace — stays ≥ 0.95 (measured
             // 0.993 at a 21% mix-trace hit rate; epsilon 2 already costs
-            // 6–10%). `MAGMA_SERVE_CACHE_EPSILON=0` restores the
-            // exact-key behaviour that shipped before the calibration.
+            // 6–10%). A scenario pinning `serving.cache_epsilon: 0`
+            // restores the exact-key behaviour that shipped before the
+            // calibration.
             cache_epsilon: 1.0,
             cache_path: None,
             seed: 0,
@@ -207,42 +178,51 @@ impl ServeKnobs {
         }
     }
 
-    /// Reads the knob family from the environment on top of the smoke or
-    /// full defaults. Zero values for counts/budgets are clamped to 1 so a
-    /// misconfigured environment can never produce a degenerate simulator.
-    pub fn from_env(smoke: bool) -> Self {
-        let d = if smoke { Self::smoke() } else { Self::full() };
+    /// These knobs with a scenario's pins applied: each `Some` replaces the
+    /// corresponding field, each `None` keeps it. The one place scenario
+    /// overrides meet a preset — the fleet and server layers delegate here.
+    pub fn with_overrides(&self, o: &ScenarioOverrides) -> Self {
         ServeKnobs {
-            requests: env_parse("MAGMA_SERVE_REQUESTS", d.requests).max(1),
-            group_target: env_parse("MAGMA_SERVE_GROUP", d.group_target).max(1),
-            max_wait_x: env_parse("MAGMA_SERVE_MAX_WAIT_X", d.max_wait_x).max(0.0),
-            cache_capacity: env_parse("MAGMA_SERVE_CACHE_CAP", d.cache_capacity).max(1),
-            cold_budget: env_parse("MAGMA_SERVE_COLD_BUDGET", d.cold_budget).max(1),
-            refine_budget: env_parse("MAGMA_SERVE_REFINE_BUDGET", d.refine_budget).max(1),
-            quant_step: env_parse("MAGMA_SERVE_QUANT", d.quant_step).max(1e-6),
-            offered_load: env_parse("MAGMA_SERVE_LOAD", d.offered_load).max(1e-3),
-            sla_x: env_parse("MAGMA_SERVE_SLA_X", d.sla_x).max(0.0),
-            overhead_us_per_sample: env_parse("MAGMA_SERVE_OVERHEAD_US", d.overhead_us_per_sample)
-                .max(0.0),
-            overlap: env_flag("MAGMA_SERVE_OVERLAP", d.overlap),
-            search_slice: env_parse("MAGMA_SERVE_SLICE", d.search_slice).max(1),
-            cache_epsilon: env_parse("MAGMA_SERVE_CACHE_EPSILON", d.cache_epsilon).max(0.0),
-            cache_path: std::env::var("MAGMA_SERVE_CACHE_PATH")
-                .ok()
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .or(d.cache_path),
-            seed: env_parse("MAGMA_SERVE_SEED", d.seed),
+            requests: o.requests.unwrap_or(self.requests),
+            offered_load: o.offered_load.unwrap_or(self.offered_load),
+            seed: o.seed.unwrap_or(self.seed),
+            cache_epsilon: o.cache_epsilon.unwrap_or(self.cache_epsilon),
+            refine_budget: o.refine_budget.unwrap_or(self.refine_budget),
+            quant_step: o.quant_step.unwrap_or(self.quant_step),
+            sla_x: o.sla_x.unwrap_or(self.sla_x),
+            ..self.clone()
         }
     }
+}
+
+/// What a registry scenario file pins on top of a knob preset: its traffic
+/// block's `requests` / `offered_load` / `seed` and its optional serving
+/// block. `None` everywhere (the default) leaves the preset untouched, so
+/// the same file runs at smoke and full scale.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ScenarioOverrides {
+    /// Trace length.
+    pub requests: Option<usize>,
+    /// Offered load (the fleet reads it relative to one reference shard).
+    pub offered_load: Option<f64>,
+    /// Trace/search seed.
+    pub seed: Option<u64>,
+    /// Nearest-key cache probe threshold.
+    pub cache_epsilon: Option<f64>,
+    /// Cache-hit refinement budget.
+    pub refine_budget: Option<usize>,
+    /// Cache-key quantization step.
+    pub quant_step: Option<f64>,
+    /// SLA tolerance factor.
+    pub sla_x: Option<f64>,
 }
 
 /// The scheduling policy of the fleet's concurrent session scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum FleetPolicy {
     /// Round-robin over live sessions with a fixed slice
-    /// (`MAGMA_SERVE_SLICE`) — the single-queue simulator's quantum,
-    /// generalized to many sessions. No preemption.
+    /// ([`ServeKnobs::search_slice`]) — the single-queue simulator's
+    /// quantum, generalized to many sessions. No preemption.
     Uniform,
     /// Earliest-deadline-first session selection with deadline-aware slice
     /// sizing (urgent sessions get big slices, relaxed ones small), plus
@@ -273,23 +253,9 @@ impl std::str::FromStr for FleetPolicy {
     }
 }
 
-/// The `MAGMA_FLEET_*` knob family configuring the multi-shard fleet
-/// simulator (`magma-serve`'s fleet layer / the `fleet_sim` binary), layered
-/// on top of the [`ServeKnobs`] budgets.
-///
-/// | Variable | Field | Meaning |
-/// |---|---|---|
-/// | `MAGMA_FLEET_SHARDS` | `shards` | platform shards in the fleet (the bench ladder overrides per rung) |
-/// | `MAGMA_FLEET_SETTINGS` | `shard_settings` | comma list of Table III settings cycled across shards (e.g. `S2,S4`) |
-/// | `MAGMA_FLEET_REQUESTS` | `requests` | arrivals per fleet scenario |
-/// | `MAGMA_FLEET_TENANTS` | `tenants` | synthetic-mix tenant count |
-/// | `MAGMA_FLEET_LOAD` | `offered_load` | offered load relative to **one** calibrated reference shard |
-/// | `MAGMA_FLEET_MAX_LIVE` | `max_live` | concurrent live search sessions per shard mapper |
-/// | `MAGMA_FLEET_POLICY` | `policy` | `uniform` or `deadline` (see [`FleetPolicy`]) |
-/// | `MAGMA_FLEET_MIN_SLICE` | `min_slice` | slice floor for deadline-aware sizing (graceful past-deadline degradation) |
-/// | `MAGMA_FLEET_PREEMPT` | `preempt_margin` | value-preemption threshold: a full shard preempts its least-valuable session for a group ≥ this × its value; `0` disables |
-/// | `MAGMA_FLEET_SHARED_CACHE` | `shared_cache_capacity` | entry capacity of the fleet-wide shared cache tier behind the per-shard caches; `0` disables the tier |
-/// | `MAGMA_FLEET_TENANT_QUOTA` | `shared_tenant_quota` | max shared-tier entries per publishing tenant (its own LRU entry is evicted first); `0` = no quota |
+/// The fleet configuration of the multi-shard fleet simulator
+/// (`magma-serve`'s fleet layer / the `fleet_sim` binary), layered on top of
+/// the [`ServeKnobs`] budgets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetKnobs {
     /// The underlying serving knobs (budgets, cache geometry, group target,
@@ -297,7 +263,7 @@ pub struct FleetKnobs {
     /// everything except `requests`/`offered_load`, which it carries itself
     /// at fleet-appropriate defaults.
     pub serve: ServeKnobs,
-    /// Platform shards in the fleet.
+    /// Platform shards in the fleet (the widest rung of the shard ladder).
     pub shards: usize,
     /// Table III settings cycled across shards (shard `i` gets
     /// `shard_settings[i % len]`); a single entry means a homogeneous fleet.
@@ -370,66 +336,30 @@ impl FleetKnobs {
         }
     }
 
-    /// Reads the knob family from the environment on top of the smoke or
-    /// full defaults (including the underlying `MAGMA_SERVE_*` family).
-    /// Counts are clamped to 1 and the settings list to valid Table III
-    /// names, so a misconfigured environment can never produce a degenerate
-    /// fleet.
-    pub fn from_env(smoke: bool) -> Self {
-        let d = if smoke { Self::smoke() } else { Self::full() };
-        let shard_settings = match std::env::var("MAGMA_FLEET_SETTINGS") {
-            Ok(list) => {
-                let parsed: Vec<Setting> =
-                    list.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                if parsed.is_empty() {
-                    d.shard_settings.clone()
-                } else {
-                    parsed
-                }
-            }
-            Err(_) => d.shard_settings.clone(),
-        };
+    /// These knobs with a scenario's pins applied
+    /// ([`ServeKnobs::with_overrides`]); `requests` and `offered_load` land
+    /// on the fleet's own fields as well.
+    pub fn with_overrides(&self, o: &ScenarioOverrides) -> Self {
         FleetKnobs {
-            serve: ServeKnobs::from_env(smoke),
-            shards: env_parse("MAGMA_FLEET_SHARDS", d.shards).max(1),
-            shard_settings,
-            requests: env_parse("MAGMA_FLEET_REQUESTS", d.requests).max(1),
-            tenants: env_parse("MAGMA_FLEET_TENANTS", d.tenants).max(1),
-            offered_load: env_parse("MAGMA_FLEET_LOAD", d.offered_load).max(1e-3),
-            max_live: env_parse("MAGMA_FLEET_MAX_LIVE", d.max_live).max(1),
-            policy: std::env::var("MAGMA_FLEET_POLICY")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d.policy),
-            min_slice: env_parse("MAGMA_FLEET_MIN_SLICE", d.min_slice).max(1),
-            preempt_margin: env_parse("MAGMA_FLEET_PREEMPT", d.preempt_margin).max(0.0),
-            shared_cache_capacity: env_parse("MAGMA_FLEET_SHARED_CACHE", d.shared_cache_capacity),
-            shared_tenant_quota: env_parse("MAGMA_FLEET_TENANT_QUOTA", d.shared_tenant_quota),
+            serve: self.serve.with_overrides(o),
+            requests: o.requests.unwrap_or(self.requests),
+            offered_load: o.offered_load.unwrap_or(self.offered_load),
+            ..self.clone()
         }
     }
 }
 
-/// The `MAGMA_SERVER_*` knob family configuring the wall-clock RPC serving
-/// daemon (`magma-server` / the `magma_server` and `loadgen` binaries),
-/// layered on top of the [`FleetKnobs`] fleet shape (which itself layers on
-/// the [`ServeKnobs`] budgets).
-///
-/// | Variable | Field | Meaning |
-/// |---|---|---|
-/// | `MAGMA_SERVER_ADDR` | `addr` | TCP listen/connect address of the daemon |
-/// | `MAGMA_SERVER_BACKLOG_SEC` | `max_backlog_sec` | admission threshold: a submit is answered `Busy` when every shard's projected mapper backlog (the router's load metric, in seconds) exceeds this |
-/// | `MAGMA_SERVER_PENDING` | `pending_per_shard` | bounded admission queue: planned groups a shard may hold beyond its live sessions before submits bounce |
-/// | `MAGMA_SERVER_TIMEOUT_SEC` | `timeout_sec` | session timeout: a group still searching this long after admission is cancelled via early `finish()` |
-/// | `MAGMA_SERVER_MAX_FRAME` | `max_frame_bytes` | RPC frame size bound; oversized frames are rejected and the connection dropped |
-/// | `MAGMA_SERVER_RATE` | `rate` | loadgen target submission rate, in groups per wall-clock second |
-/// | `MAGMA_SERVER_REQUESTS` | `requests` | loadgen trace length (arrivals replayed over the wire) |
+/// The daemon configuration of the wall-clock RPC serving daemon
+/// (`magma-server` / the `magma_server` and `loadgen` binaries), layered on
+/// top of the [`FleetKnobs`] fleet shape (which itself layers on the
+/// [`ServeKnobs`] budgets).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerKnobs {
     /// The underlying fleet shape: shard count and settings, session
     /// scheduler policy/budgets, dispatch budgets, cache geometry and
-    /// persistence (`MAGMA_SERVE_CACHE_PATH` + `.shard<i>`), shared-tier
-    /// size, seed. The daemon reads everything except the virtual-clock
-    /// trace knobs (`requests` / `offered_load`), which have no wall-clock
+    /// persistence (`serve.cache_path` + `.shard<i>`), shared-tier size,
+    /// seed. The daemon reads everything except the virtual-clock trace
+    /// knobs (`requests` / `offered_load`), which have no wall-clock
     /// meaning server-side.
     pub fleet: FleetKnobs,
     /// TCP address the daemon binds and the loadgen connects to. Port `0`
@@ -484,25 +414,14 @@ impl ServerKnobs {
         }
     }
 
-    /// Reads the knob family from the environment on top of the smoke or
-    /// full defaults (including the underlying `MAGMA_FLEET_*` and
-    /// `MAGMA_SERVE_*` families). Counts and durations are clamped so a
-    /// misconfigured environment can never produce a degenerate server.
-    pub fn from_env(smoke: bool) -> Self {
-        let d = if smoke { Self::smoke() } else { Self::full() };
+    /// These knobs with a scenario's pins applied
+    /// ([`FleetKnobs::with_overrides`]); `requests` also sets the loadgen
+    /// trace length.
+    pub fn with_overrides(&self, o: &ScenarioOverrides) -> Self {
         ServerKnobs {
-            fleet: FleetKnobs::from_env(smoke),
-            addr: std::env::var("MAGMA_SERVER_ADDR")
-                .ok()
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .unwrap_or(d.addr),
-            max_backlog_sec: env_parse("MAGMA_SERVER_BACKLOG_SEC", d.max_backlog_sec).max(1e-3),
-            pending_per_shard: env_parse("MAGMA_SERVER_PENDING", d.pending_per_shard).max(1),
-            timeout_sec: env_parse("MAGMA_SERVER_TIMEOUT_SEC", d.timeout_sec).max(1e-3),
-            max_frame_bytes: env_parse("MAGMA_SERVER_MAX_FRAME", d.max_frame_bytes).max(1024),
-            rate: env_parse("MAGMA_SERVER_RATE", d.rate).max(1e-3),
-            requests: env_parse("MAGMA_SERVER_REQUESTS", d.requests).max(1),
+            fleet: self.fleet.with_overrides(o),
+            requests: o.requests.unwrap_or(self.requests),
+            ..self.clone()
         }
     }
 }
@@ -803,18 +722,12 @@ mod tests {
         // The refinement budget is the "≤ 10% of cold" acceptance lever.
         assert!(full.refine_budget * 10 <= full.cold_budget);
         assert!(smoke.refine_budget * 10 <= smoke.cold_budget);
-        // Overlap mode defaults on; since the cache_sweep calibration the
-        // nearest-key probe defaults on too (BENCH_cache.json documents the
-        // frontier), with exact-key-only one `MAGMA_SERVE_CACHE_EPSILON=0`
-        // away. Persistence stays opt-in.
-        assert!(full.overlap && smoke.overlap);
+        // Since the cache_sweep calibration the nearest-key probe defaults
+        // on (BENCH_cache.json documents the frontier). Persistence stays
+        // opt-in.
         assert!(full.search_slice >= 1);
         assert!(full.cache_epsilon > 0.0 && smoke.cache_epsilon > 0.0);
         assert_eq!(full.cache_path, None);
-        // from_env falls back to the defaults when the knobs are unset (the
-        // ambient test environment never sets MAGMA_SERVE_*).
-        assert_eq!(ServeKnobs::from_env(true), smoke);
-        assert_eq!(ServeKnobs::from_env(false), full);
     }
 
     #[test]
@@ -844,10 +757,6 @@ mod tests {
         assert!(full.shared_cache_capacity > full.serve.cache_capacity);
         assert!(smoke.shared_cache_capacity > smoke.serve.cache_capacity);
         assert!(full.shared_tenant_quota > 0 && smoke.shared_tenant_quota > 0);
-        // from_env falls back to the defaults when the knobs are unset (the
-        // ambient test environment never sets MAGMA_FLEET_*).
-        assert_eq!(FleetKnobs::from_env(true), smoke);
-        assert_eq!(FleetKnobs::from_env(false), full);
     }
 
     #[test]
@@ -863,10 +772,6 @@ mod tests {
         assert!(full.pending_per_shard >= 1 && smoke.pending_per_shard >= 1);
         // A frame must comfortably hold a serialized dispatch group.
         assert!(full.max_frame_bytes >= 1024 * 1024);
-        // from_env falls back to the defaults when the knobs are unset (the
-        // ambient test environment never sets MAGMA_SERVER_*).
-        assert_eq!(ServerKnobs::from_env(true), smoke);
-        assert_eq!(ServerKnobs::from_env(false), full);
     }
 
     #[test]
@@ -894,25 +799,28 @@ mod tests {
     }
 
     #[test]
-    fn parse_or_falls_back_on_malformed_values() {
-        // The single, central test of the malformed-value fallback every
-        // MAGMA_* knob family shares (via env_parse): absent, empty,
-        // whitespace-only and unparsable values all yield the default;
-        // well-formed values (with surrounding whitespace) parse.
-        assert_eq!(parse_or::<usize>(None, 7), 7);
-        assert_eq!(parse_or::<usize>(Some(""), 7), 7);
-        assert_eq!(parse_or::<usize>(Some("   "), 7), 7);
-        assert_eq!(parse_or::<usize>(Some("banana"), 7), 7);
-        assert_eq!(parse_or::<usize>(Some("-3"), 7), 7); // unsigned: no parse
-        assert_eq!(parse_or::<usize>(Some("3.5"), 7), 7);
-        assert_eq!(parse_or::<usize>(Some(" 12 "), 7), 12);
-        assert_eq!(parse_or::<f64>(Some("not-a-float"), 1.5), 1.5);
-        assert_eq!(parse_or::<f64>(Some(" 0.25 "), 1.5), 0.25);
-        assert_eq!(parse_or::<u64>(Some("18446744073709551616"), 9), 9); // overflow
-        assert_eq!(parse_or::<FleetPolicy>(Some("edf"), FleetPolicy::Uniform), {
-            FleetPolicy::Uniform
-        });
-        assert_eq!(parse_or(Some("deadline"), FleetPolicy::Uniform), FleetPolicy::Deadline);
+    fn overrides_pin_only_what_the_scenario_sets() {
+        let server = ServerKnobs::smoke();
+        assert_eq!(server.with_overrides(&ScenarioOverrides::default()), server);
+        let o = ScenarioOverrides {
+            requests: Some(24),
+            offered_load: Some(3.0),
+            seed: Some(7),
+            refine_budget: Some(5),
+            ..ScenarioOverrides::default()
+        };
+        let pinned = server.with_overrides(&o);
+        // Every layer sees the trace pins; the serving pins reach the
+        // budgets; everything unpinned keeps the preset.
+        assert_eq!(
+            (pinned.requests, pinned.fleet.requests, pinned.fleet.serve.requests),
+            (24, 24, 24)
+        );
+        assert_eq!((pinned.fleet.offered_load, pinned.fleet.serve.offered_load), (3.0, 3.0));
+        assert_eq!((pinned.fleet.serve.seed, pinned.fleet.serve.refine_budget), (7, 5));
+        assert_eq!(pinned.fleet.serve.cache_epsilon, server.fleet.serve.cache_epsilon);
+        assert_eq!((pinned.rate, &pinned.addr), (server.rate, &server.addr));
+        assert_eq!(pinned.fleet.tenants, server.fleet.tenants);
     }
 
     #[test]

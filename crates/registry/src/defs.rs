@@ -405,19 +405,19 @@ impl MixDef {
 }
 
 /// The traffic block of a [`ScenarioDef`]: arrival process plus optional
-/// scale overrides (`null` inherits the serving knobs, so the same scenario
+/// scale overrides (`null` inherits the knob preset, so the same scenario
 /// file runs at smoke and full scale).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficDef {
     /// Arrival process: `poisson` / `bursty` / `drift`
     /// (see [`parse_process`]).
     pub process: String,
-    /// Trace length override; `null` inherits `MAGMA_SERVE_REQUESTS`.
+    /// Trace length override; `null` inherits the preset (or `--requests`).
     pub requests: Option<usize>,
     /// Offered-load override (fraction of ideal service rate); `null`
-    /// inherits `MAGMA_SERVE_LOAD`.
+    /// inherits the preset.
     pub offered_load: Option<f64>,
-    /// Seed override; `null` inherits `MAGMA_SERVE_SEED`.
+    /// Seed override; `null` inherits the preset.
     pub seed: Option<u64>,
 }
 
@@ -451,22 +451,19 @@ impl TrafficDef {
 
 /// The optional serving block of a [`ScenarioDef`]: cache/dispatch knobs a
 /// scenario pins so it carries its *full* serving configuration, not just
-/// workload and traffic. Every field is optional — `null` inherits the
-/// ambient `MAGMA_SERVE_*` knobs, so the same file still runs at smoke and
-/// full scale.
+/// workload and traffic. Every field is optional — `null` inherits the knob
+/// preset, so the same file still runs at smoke and full scale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingDef {
     /// Near-hit probe threshold override (mean per-job signature distance);
-    /// `0` disables the probe. `null` inherits `MAGMA_SERVE_CACHE_EPSILON`.
+    /// `0` disables the probe. `null` inherits the preset.
     pub cache_epsilon: Option<f64>,
-    /// Refine-budget override for cache hits; `null` inherits
-    /// `MAGMA_SERVE_REFINE_BUDGET`.
+    /// Refine-budget override for cache hits; `null` inherits the preset.
     pub refine_budget: Option<usize>,
-    /// Signature-key quantization step override; `null` inherits
-    /// `MAGMA_SERVE_QUANT`.
+    /// Signature-key quantization step override; `null` inherits the
+    /// preset.
     pub quant_step: Option<f64>,
-    /// Uniform SLA bound multiplier override; `null` inherits
-    /// `MAGMA_SERVE_SLA_X`.
+    /// Uniform SLA bound multiplier override; `null` inherits the preset.
     pub sla_x: Option<f64>,
 }
 

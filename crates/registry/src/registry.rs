@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use magma_model::{zoo, TenantMix};
+use magma_platform::settings::ScenarioOverrides;
 use magma_platform::{AcceleratorPlatform, PlatformSpec};
 use magma_serve::{CustomScenario, Scenario, ScenarioDescriptor};
 use serde::{Deserialize, Value};
@@ -49,20 +50,8 @@ pub struct ResolvedScenario {
     pub platform: AcceleratorPlatform,
     /// The built tenant mix.
     pub mix: TenantMix,
-    /// Trace-length override (`None` inherits the knobs).
-    pub requests: Option<usize>,
-    /// Offered-load override (`None` inherits the knobs).
-    pub offered_load: Option<f64>,
-    /// Seed override (`None` inherits the knobs).
-    pub seed: Option<u64>,
-    /// Near-hit epsilon override (`None` inherits the knobs).
-    pub cache_epsilon: Option<f64>,
-    /// Refine-budget override (`None` inherits the knobs).
-    pub refine_budget: Option<usize>,
-    /// Quantization-step override (`None` inherits the knobs).
-    pub quant_step: Option<f64>,
-    /// SLA-multiplier override (`None` inherits the knobs).
-    pub sla_x: Option<f64>,
+    /// The traffic and serving pins (`None` inherits the knob preset).
+    pub overrides: ScenarioOverrides,
     /// The descriptor embedding the full resolved definitions.
     pub descriptor: ScenarioDescriptor,
 }
@@ -77,13 +66,7 @@ impl ResolvedScenario {
             scenario: self.scenario,
             mix: self.mix.clone(),
             platform: PlatformSpec::Custom(self.platform.clone()),
-            requests: self.requests,
-            offered_load: self.offered_load,
-            seed: self.seed,
-            cache_epsilon: self.cache_epsilon,
-            refine_budget: self.refine_budget,
-            quant_step: self.quant_step,
-            sla_x: self.sla_x,
+            overrides: self.overrides,
             descriptor: self.descriptor.clone(),
         }
     }
@@ -380,13 +363,15 @@ impl Registry {
             platform_def: platform_def.clone(),
             platform,
             mix,
-            requests: def.traffic.requests,
-            offered_load: def.traffic.offered_load,
-            seed: def.traffic.seed,
-            cache_epsilon: def.serving.as_ref().and_then(|s| s.cache_epsilon),
-            refine_budget: def.serving.as_ref().and_then(|s| s.refine_budget),
-            quant_step: def.serving.as_ref().and_then(|s| s.quant_step),
-            sla_x: def.serving.as_ref().and_then(|s| s.sla_x),
+            overrides: ScenarioOverrides {
+                requests: def.traffic.requests,
+                offered_load: def.traffic.offered_load,
+                seed: def.traffic.seed,
+                cache_epsilon: def.serving.as_ref().and_then(|s| s.cache_epsilon),
+                refine_budget: def.serving.as_ref().and_then(|s| s.refine_budget),
+                quant_step: def.serving.as_ref().and_then(|s| s.quant_step),
+                sla_x: def.serving.as_ref().and_then(|s| s.sla_x),
+            },
             descriptor,
         })
     }

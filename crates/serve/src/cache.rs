@@ -16,7 +16,7 @@
 //! for the metrics pipeline.
 //!
 //! The whole cache round-trips through serde ([`MappingCache::save`] /
-//! [`MappingCache::load`], behind the `MAGMA_SERVE_CACHE_PATH` knob) so a
+//! [`MappingCache::load`], behind `ServeKnobs::cache_path`) so a
 //! serve or fleet restart starts warm: entries, LRU order *and* counters
 //! survive byte-for-byte.
 
@@ -285,7 +285,7 @@ impl MappingCache {
     }
 
     /// Writes the cache as pretty-printed JSON to `path` (the format behind
-    /// `MAGMA_SERVE_CACHE_PATH`). Entries are emitted least recently used
+    /// `ServeKnobs::cache_path`). Entries are emitted least recently used
     /// first, so LRU order — and with it every future eviction and near-hit
     /// tie-break — survives the round trip exactly, as do the counters.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
@@ -361,13 +361,13 @@ impl Deserialize for MappingCache {
 }
 
 /// The fleet-wide shared cache tier sitting *behind* the per-shard
-/// [`MappingCache`]s (`MAGMA_FLEET_SHARED_CACHE`).
+/// [`MappingCache`]s (`FleetKnobs::shared_cache_capacity`).
 ///
 /// A shard that misses its own cache falls through to this tier, so a
 /// mapping solved on shard 2 warms a recurrence routed to shard 0 —
 /// previously only the router's sticky affinity kept warm state reachable.
 /// Inserts publish to both tiers. On top of the shared LRU sits a
-/// **per-tenant quota** (`MAGMA_FLEET_TENANT_QUOTA`): each publishing
+/// **per-tenant quota** (`FleetKnobs::shared_tenant_quota`): each publishing
 /// tenant may hold at most that many shared entries, so one chatty tenant
 /// cannot monopolise the fleet tier; its own least recently used entry is
 /// evicted first.

@@ -11,6 +11,7 @@
 
 use crate::trace::Scenario;
 use magma_model::TenantMix;
+use magma_platform::settings::ScenarioOverrides;
 use magma_platform::PlatformSpec;
 use serde::{Deserialize, Serialize, Value};
 
@@ -122,49 +123,13 @@ pub struct CustomScenario {
     pub mix: TenantMix,
     /// The platform to serve on (every fleet shard gets a copy).
     pub platform: PlatformSpec,
-    /// Trace-length override; `None` inherits the knob default.
-    pub requests: Option<usize>,
-    /// Offered-load override; `None` inherits the knob default.
-    pub offered_load: Option<f64>,
-    /// Seed override; `None` inherits the knob default.
-    pub seed: Option<u64>,
-    /// Near-hit epsilon override (`MAGMA_SERVE_CACHE_EPSILON` otherwise).
-    pub cache_epsilon: Option<f64>,
-    /// Refine-budget override (`MAGMA_SERVE_REFINE_BUDGET` otherwise).
-    pub refine_budget: Option<usize>,
-    /// Quantization-step override (`MAGMA_SERVE_QUANT` otherwise).
-    pub quant_step: Option<f64>,
-    /// SLA-multiplier override (`MAGMA_SERVE_SLA_X` otherwise).
-    pub sla_x: Option<f64>,
+    /// What the scenario file pins on top of the knob preset (traffic
+    /// `requests` / `offered_load` / `seed` and the serving block); every
+    /// `None` inherits the preset.
+    pub overrides: ScenarioOverrides,
     /// The self-describing descriptor embedded in any report this scenario
     /// produces.
     pub descriptor: ScenarioDescriptor,
-}
-
-impl CustomScenario {
-    /// The serving knobs with this scenario's pinned serving configuration
-    /// applied: each `Some` override replaces the corresponding knob, every
-    /// `None` inherits — the single place scenario-pinned cache/SLA knobs
-    /// meet the ambient `MAGMA_SERVE_*` environment.
-    pub fn apply_serving(
-        &self,
-        knobs: &magma_platform::settings::ServeKnobs,
-    ) -> magma_platform::settings::ServeKnobs {
-        let mut knobs = knobs.clone();
-        if let Some(eps) = self.cache_epsilon {
-            knobs.cache_epsilon = eps;
-        }
-        if let Some(refine) = self.refine_budget {
-            knobs.refine_budget = refine;
-        }
-        if let Some(quant) = self.quant_step {
-            knobs.quant_step = quant;
-        }
-        if let Some(sla_x) = self.sla_x {
-            knobs.sla_x = sla_x;
-        }
-        knobs
-    }
 }
 
 #[cfg(test)]

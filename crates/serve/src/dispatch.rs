@@ -95,7 +95,7 @@ impl DispatchConfig {
         }
     }
 
-    /// The budgets and cache geometry of the `MAGMA_SERVE_*` knob family.
+    /// The budgets and cache geometry of the serving knobs.
     pub fn from_knobs(knobs: &ServeKnobs) -> Self {
         DispatchConfig::new(
             knobs.cold_budget,
@@ -165,7 +165,7 @@ impl MappingService {
     }
 
     /// Read-only view of the cache — the persistence seam: save it with
-    /// [`MappingCache::save`] at the end of a run (`MAGMA_SERVE_CACHE_PATH`).
+    /// [`MappingCache::save`] at the end of a run (`ServeKnobs::cache_path`).
     pub fn cache(&self) -> &MappingCache {
         &self.cache
     }

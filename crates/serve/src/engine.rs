@@ -67,9 +67,8 @@ use std::path::PathBuf;
 
 pub use crate::shard::shard_cache_file;
 
-/// The full parameter set of a wall-clock engine, derived from the
-/// `MAGMA_SERVER_*` + `MAGMA_FLEET_*` + `MAGMA_SERVE_*` knob families by
-/// [`EngineConfig::from_knobs`].
+/// The full parameter set of a wall-clock engine, derived from the layered
+/// server / fleet / serving knobs by [`EngineConfig::from_knobs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// One platform spec per shard.
@@ -113,8 +112,8 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Builds a config from the `MAGMA_SERVER_*` knob family (which embeds
-    /// the fleet and serving knobs). The batcher's admission deadline is
+    /// Builds a config from the server knobs (which embed the fleet and
+    /// serving knobs). The batcher's admission deadline is
     /// expressed in wall-clock terms by pricing one batch window at the
     /// server's target rate: `max_wait_x × group_target / rate` seconds.
     pub fn from_knobs(knobs: &ServerKnobs) -> Self {

@@ -2,7 +2,7 @@
 //! each multiplexing many live searches through a concurrent session
 //! scheduler.
 //!
-//! A fleet is `MAGMA_FLEET_SHARDS` independent **shards** — each a full
+//! A fleet is `FleetKnobs::shards` independent **shards** — each a full
 //! platform with its own mapper clock, accelerator timeline, mapping cache
 //! and [`SessionScheduler`] — fed from one global admission batcher:
 //!
@@ -38,20 +38,20 @@
 //! # Shared tier and persistence
 //!
 //! Behind the per-shard caches sits an optional fleet-wide **shared cache
-//! tier** (`MAGMA_FLEET_SHARED_CACHE` entries, per-tenant quota
-//! `MAGMA_FLEET_TENANT_QUOTA`): a shard miss falls through to the tier
+//! tier** (`FleetKnobs::shared_cache_capacity` entries, per-tenant quota
+//! `FleetKnobs::shared_tenant_quota`): a shard miss falls through to the tier
 //! before cold-searching, every completed session publishes its mapping to
 //! both its shard cache and the tier, and the router places tier-held keys
 //! purely by load ([`crate::router::ShardRouter::place_balanced`]) since
 //! any shard then serves them warm. The tier lives on the fleet's
 //! single-threaded event loop, so its event order — and therefore every
 //! fleet result — stays bit-identical across `MAGMA_THREADS` settings.
-//! When `MAGMA_SERVE_CACHE_PATH` is set, each shard persists its cache to
+//! When [`FleetConfig::cache_path`] is set, each shard persists its cache to
 //! `<path>.shard<i>` at the end of the run and reloads it at the next
 //! start, so fleet restarts begin warm.
 //!
 //! Offered load is calibrated against the **reference shard** (shard 0), so
-//! `MAGMA_FLEET_LOAD=2.5` means "2.5× what one shard sustains": the
+//! an offered load of 2.5 means "2.5× what one shard sustains": the
 //! one-shard rung of the [`FleetReport`] ladder drowns and the ladder's
 //! throughput climbs with the shard count — the scaling headline
 //! `BENCH_fleet.json` exists to track.
@@ -77,7 +77,7 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// One platform spec per shard (shard count = length; heterogeneous
-    /// mixes cycle `MAGMA_FLEET_SETTINGS`; registry scenarios may supply
+    /// mixes cycle `FleetKnobs::shard_settings`; registry scenarios may supply
     /// fully custom platforms). Shard 0 is the load-calibration reference.
     pub shard_settings: Vec<PlatformSpec>,
     /// The traffic scenario.
@@ -104,7 +104,7 @@ pub struct FleetConfig {
     pub shared_cache_capacity: usize,
     /// Per-tenant entry quota over the shared tier; `0` means unlimited.
     pub shared_tenant_quota: usize,
-    /// Mapping-cache persistence base path (`MAGMA_SERVE_CACHE_PATH`): each
+    /// Mapping-cache persistence base path (`ServeKnobs::cache_path`): each
     /// shard loads/saves `<path>.shard<i>`. `None` keeps caches in-memory.
     pub cache_path: Option<PathBuf>,
     /// Scheduler policy.
@@ -131,7 +131,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Builds a config from the `MAGMA_FLEET_*` knob family for `shards`
+    /// Builds a config from the fleet knobs for `shards`
     /// shards (cycling the settings list) under the given scenario.
     pub fn from_knobs(knobs: &FleetKnobs, shards: usize, scenario: Scenario) -> Self {
         assert!(shards > 0, "a fleet needs at least one shard");
@@ -508,8 +508,8 @@ pub struct FleetRung {
     /// Fleet-wide cache counters (summed over shards).
     pub cache: crate::metrics::CacheReport,
     /// Shared cache tier counters — disjoint from `cache`: a tier-served
-    /// dispatch is a shard miss *and* a tier hit. All zero when
-    /// `MAGMA_FLEET_SHARED_CACHE=0`.
+    /// dispatch is a shard miss *and* a tier hit. All zero when the tier is
+    /// disabled (`shared_cache_capacity` 0).
     pub shared: crate::metrics::CacheReport,
     /// Fleet-wide dispatch/budget/quality summary.
     pub dispatch: crate::metrics::DispatchSummary,
@@ -673,8 +673,8 @@ impl FleetReport {
 /// The standard fleet scenario set.
 ///
 /// * `fleet_mix` — the scaling headline: a large synthetic tenant mix at an
-///   offered load that overloads one shard (`MAGMA_FLEET_LOAD`, default
-///   2.5×), under the configured policy.
+///   offered load that overloads one shard (`FleetKnobs::offered_load`),
+///   under the configured policy.
 /// * `deadline_pressure` — the preemption stress: 1.5× that load with the
 ///   SLA tolerance cut to a third and the mapper oversubscribed 1.5×
 ///   ([`FleetConfig::mapper_pressure`]), always under the Deadline policy
@@ -724,7 +724,7 @@ fn run_scenario_ladder(
         let mut config = template.clone();
         config.shard_settings = (0..shards).map(shard_spec).collect();
         // Every rung of the ladder starts cold: a persistence file
-        // (`MAGMA_SERVE_CACHE_PATH`) would leak shard caches from
+        // (`ServeKnobs::cache_path`) would leak shard caches from
         // rung to rung and scenario to scenario, invalidating the
         // scaling comparison. Warm fleet restarts are exercised by
         // `fleet_simulate` callers and the integration suite.
@@ -803,23 +803,12 @@ pub fn run_fleet_ladder(knobs: &FleetKnobs, smoke: bool) -> FleetReport {
 /// a copy of the scenario's platform, the trace is drawn from its tenant
 /// mix, and the report embeds its descriptor. Knob-level ladder shape
 /// (shard counts, session scheduler, budgets) still comes from `knobs`;
-/// the scenario's optional `requests` / `offered_load` / `seed` override the
-/// knob defaults.
+/// the scenario's pins replace the matching knobs
+/// ([`FleetKnobs::with_overrides`]).
 pub fn run_fleet_custom(knobs: &FleetKnobs, smoke: bool, custom: &CustomScenario) -> FleetReport {
-    let mut knobs = knobs.clone();
-    knobs.serve = custom.apply_serving(&knobs.serve);
-    let knobs = &knobs;
+    let knobs = &knobs.with_overrides(&custom.overrides);
     let ladder = shard_ladder(knobs, smoke);
-    let mut template = FleetConfig::from_knobs(knobs, knobs.shards, custom.scenario);
-    if let Some(requests) = custom.requests {
-        template.requests = requests;
-    }
-    if let Some(load) = custom.offered_load {
-        template.offered_load = load;
-    }
-    if let Some(seed) = custom.seed {
-        template.seed = seed;
-    }
+    let template = FleetConfig::from_knobs(knobs, knobs.shards, custom.scenario);
     let shard_spec = |_s: usize| custom.platform.clone();
     let scenario = run_scenario_ladder(&custom.name, &template, &ladder, &custom.mix, &shard_spec);
     FleetReport {

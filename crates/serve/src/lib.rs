@@ -26,7 +26,7 @@
 //! * [`batcher`] — admission batching under a group-size/deadline policy.
 //! * [`cache`] — the bounded LRU over quantized [`magma_model::JobSignature`]
 //!   sets, with a nearest-key probe for near-matching groups (threshold
-//!   calibrated by [`sweep`]), serde persistence (`MAGMA_SERVE_CACHE_PATH`
+//!   calibrated by [`sweep`]), serde persistence (`ServeKnobs::cache_path`
 //!   makes restarts warm) and a fleet-wide [`cache::SharedCache`]
 //!   tier with per-tenant quotas.
 //! * [`dispatch`] — cold search vs adapt-then-refine as *steppable plans*

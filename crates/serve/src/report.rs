@@ -77,8 +77,9 @@ pub struct ServeReport {
     pub schema: String,
     /// `smoke` or `full`.
     pub mode: String,
-    /// Whether `scenarios` (the primary ladder) ran in overlap mode; the
-    /// `baseline_scenarios` ladder always holds the other mode.
+    /// Whether `scenarios` (the primary ladder) ran in overlap mode. Always
+    /// `true`: the primary ladder is overlap mode and `baseline_scenarios`
+    /// holds legacy mode. Kept so the `v2` layout stays unchanged.
     pub primary_overlap: bool,
     /// Trace/search seed.
     pub seed: u64,
@@ -92,35 +93,16 @@ pub struct ServeReport {
     /// (builtin ladder parameters, or the registry definitions behind a
     /// `--scenario` run), content-hashed.
     pub scenario_descriptor: ScenarioDescriptor,
-    /// One entry per simulated scenario, in the primary serving mode
-    /// (overlap by default, `MAGMA_SERVE_OVERLAP=0` flips it).
+    /// One entry per simulated scenario, in overlap mode.
     pub scenarios: Vec<ScenarioResult>,
-    /// The same scenario ladder in the other serving mode, so every report
-    /// carries both the overlap and the legacy baselines.
+    /// The same scenario ladder in legacy (serial) mode, so every report
+    /// carries both the overlap results and the legacy baseline.
     pub baseline_scenarios: Vec<ScenarioResult>,
     /// Per-scenario overlap-vs-legacy end-to-end comparison.
     pub comparison: Vec<ScenarioComparison>,
 }
 
 impl ServeReport {
-    /// The ladder simulated in overlap mode (primary or baseline).
-    pub fn overlap_scenarios(&self) -> &[ScenarioResult] {
-        if self.primary_overlap {
-            &self.scenarios
-        } else {
-            &self.baseline_scenarios
-        }
-    }
-
-    /// The ladder simulated in legacy (serial) mode.
-    pub fn legacy_scenarios(&self) -> &[ScenarioResult] {
-        if self.primary_overlap {
-            &self.baseline_scenarios
-        } else {
-            &self.scenarios
-        }
-    }
-
     /// The `magma-serve/v3` schema self-check: the versioned invariants CI
     /// asserts before uploading a profile. Returns the first violation as an
     /// error string.
@@ -142,18 +124,18 @@ impl ServeReport {
             if s.name != b.name {
                 return Err(format!("ladder misalignment: {} vs {}", s.name, b.name));
             }
-            if s.overlap != self.primary_overlap || b.overlap == self.primary_overlap {
+            if !self.primary_overlap || !s.overlap || b.overlap {
                 return Err(format!("mode flags inconsistent on {}", s.name));
             }
         }
         for c in &self.comparison {
             let overlap = self
-                .overlap_scenarios()
+                .scenarios
                 .iter()
                 .find(|s| s.name == c.name)
                 .ok_or_else(|| format!("comparison for unknown scenario {}", c.name))?;
             let legacy = self
-                .legacy_scenarios()
+                .baseline_scenarios
                 .iter()
                 .find(|s| s.name == c.name)
                 .expect("ladders are aligned");
@@ -198,51 +180,47 @@ pub fn standard_scenarios(smoke: bool) -> Vec<(&'static str, Scenario, TenantMix
     scenarios
 }
 
-/// Runs one ladder pass in the given mode.
-fn run_ladder(knobs: &ServeKnobs, smoke: bool, overlap: bool) -> Vec<ScenarioResult> {
-    standard_scenarios(smoke)
-        .into_iter()
-        .map(|(name, scenario, mix)| {
-            let mut config = SimConfig::from_knobs(knobs, scenario).with_overlap(overlap);
-            // The report's acceptance criteria assume every scenario starts
-            // cold; a persistence file (`MAGMA_SERVE_CACHE_PATH`) would leak
-            // cache state across scenarios and ladders. Warm restarts are
-            // exercised by `sim::simulate` callers and the integration
-            // suites, never by the standard report.
-            config.cache_path = None;
-            let result = simulate(&config, &mix);
-            ScenarioResult {
-                name: name.to_string(),
-                scenario,
-                overlap,
-                requests: config.requests,
-                group_target: config.group_target,
-                mean_interarrival_us: result.mean_interarrival_sec * 1e6,
-                sla_us: result.sla_sec * 1e6,
-                metrics: result.metrics,
-            }
-        })
-        .collect()
+/// Simulates one named scenario in the given mode on `config`'s platform.
+fn run_one(name: &str, config: &SimConfig, mix: &TenantMix, overlap: bool) -> ScenarioResult {
+    let config = config.clone().with_overlap(overlap);
+    let result = simulate(&config, mix);
+    ScenarioResult {
+        name: name.to_string(),
+        scenario: config.scenario,
+        overlap,
+        requests: config.requests,
+        group_target: config.group_target,
+        mean_interarrival_us: result.mean_interarrival_sec * 1e6,
+        sla_us: result.sla_sec * 1e6,
+        metrics: result.metrics,
+    }
 }
 
-/// Assembles a two-ladder report (primary + baseline + comparison) from its
-/// parts — shared by the builtin and registry paths.
+/// The report's simulation config for `scenario` under `knobs`. Every
+/// scenario starts cold: a persistence file would leak cache state across
+/// scenarios and ladders, so `cache_path` is ignored. Warm restarts are
+/// exercised by `sim::simulate` callers and the integration suites, never
+/// by the report.
+fn cold_config(knobs: &ServeKnobs, scenario: Scenario) -> SimConfig {
+    SimConfig { cache_path: None, ..SimConfig::from_knobs(knobs, scenario) }
+}
+
+/// Assembles a two-ladder report (overlap + legacy baseline + comparison)
+/// from the scenarios to run — shared by the builtin and registry paths.
 fn assemble_report(
     knobs: &ServeKnobs,
     smoke: bool,
-    seed: u64,
     descriptor: ScenarioDescriptor,
-    scenarios: Vec<ScenarioResult>,
-    baseline_scenarios: Vec<ScenarioResult>,
+    runs: &[(&str, SimConfig, &TenantMix)],
 ) -> ServeReport {
-    let (overlap_ladder, legacy_ladder) = if knobs.overlap {
-        (&scenarios, &baseline_scenarios)
-    } else {
-        (&baseline_scenarios, &scenarios)
+    let ladder = |overlap| -> Vec<ScenarioResult> {
+        runs.iter().map(|(name, config, mix)| run_one(name, config, mix, overlap)).collect()
     };
-    let comparison = overlap_ladder
+    let scenarios = ladder(true);
+    let baseline_scenarios = ladder(false);
+    let comparison = scenarios
         .iter()
-        .zip(legacy_ladder)
+        .zip(&baseline_scenarios)
         .map(|(o, l)| {
             let overlap_mean = o.metrics.end_to_end.mean_sec * 1e6;
             let legacy_mean = l.metrics.end_to_end.mean_sec * 1e6;
@@ -259,8 +237,8 @@ fn assemble_report(
     ServeReport {
         schema: SCHEMA.to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
-        primary_overlap: knobs.overlap,
-        seed,
+        primary_overlap: true,
+        seed: knobs.seed,
         cold_budget: knobs.cold_budget,
         refine_budget: knobs.refine_budget,
         cache_capacity: knobs.cache_capacity,
@@ -297,59 +275,32 @@ fn builtin_serve_descriptor(knobs: &ServeKnobs, smoke: bool) -> ScenarioDescript
 }
 
 /// Runs the standard scenario ladder under `knobs` in **both** serving modes
-/// and assembles the report: the primary ladder follows `knobs.overlap`
-/// (`MAGMA_SERVE_OVERLAP`, default on), the baseline ladder is the other
-/// mode, and the comparison block pairs them per scenario.
+/// and assembles the report: `scenarios` holds the overlap ladder,
+/// `baseline_scenarios` the legacy one, and the comparison block pairs them
+/// per scenario.
 pub fn run_standard_scenarios(knobs: &ServeKnobs, smoke: bool) -> ServeReport {
-    let scenarios = run_ladder(knobs, smoke, knobs.overlap);
-    let baseline_scenarios = run_ladder(knobs, smoke, !knobs.overlap);
-    let descriptor = builtin_serve_descriptor(knobs, smoke);
-    assemble_report(knobs, smoke, knobs.seed, descriptor, scenarios, baseline_scenarios)
+    let ladder = standard_scenarios(smoke);
+    let runs: Vec<_> = ladder
+        .iter()
+        .map(|(name, scenario, mix)| (*name, cold_config(knobs, *scenario), mix))
+        .collect();
+    assemble_report(knobs, smoke, builtin_serve_descriptor(knobs, smoke), &runs)
 }
 
 /// Runs one registry-defined scenario in **both** serving modes and
-/// assembles a single-scenario report embedding its descriptor. Knob-level
-/// budgets and cache geometry come from `knobs`; the scenario supplies the
-/// platform, mix and arrival process, its optional `requests` /
-/// `offered_load` / `seed` override the knob defaults, and a pinned
-/// `serving` block overrides the cache/SLA knobs
-/// ([`CustomScenario::apply_serving`]).
+/// assembles a single-scenario report embedding its descriptor. The
+/// scenario supplies the platform, mix and arrival process; its pins
+/// replace the matching knobs ([`ServeKnobs::with_overrides`]).
 pub fn run_custom_scenario(
     knobs: &ServeKnobs,
     smoke: bool,
     custom: &CustomScenario,
 ) -> ServeReport {
-    let knobs = &custom.apply_serving(knobs);
-    let run_one = |overlap: bool| -> ScenarioResult {
-        let mut config = SimConfig::from_knobs(knobs, custom.scenario).with_overlap(overlap);
-        config.platform = custom.platform.clone();
-        if let Some(requests) = custom.requests {
-            config.requests = requests;
-        }
-        if let Some(load) = custom.offered_load {
-            config.offered_load = load;
-        }
-        if let Some(seed) = custom.seed {
-            config.seed = seed;
-        }
-        // Same cold-start contract as the builtin ladders.
-        config.cache_path = None;
-        let result = simulate(&config, &custom.mix);
-        ScenarioResult {
-            name: custom.name.clone(),
-            scenario: custom.scenario,
-            overlap,
-            requests: config.requests,
-            group_target: config.group_target,
-            mean_interarrival_us: result.mean_interarrival_sec * 1e6,
-            sla_us: result.sla_sec * 1e6,
-            metrics: result.metrics,
-        }
-    };
-    let scenarios = vec![run_one(knobs.overlap)];
-    let baseline_scenarios = vec![run_one(!knobs.overlap)];
-    let seed = custom.seed.unwrap_or(knobs.seed);
-    assemble_report(knobs, smoke, seed, custom.descriptor.clone(), scenarios, baseline_scenarios)
+    let knobs = &knobs.with_overrides(&custom.overrides);
+    let config =
+        SimConfig { platform: custom.platform.clone(), ..cold_config(knobs, custom.scenario) };
+    let runs = [(custom.name.as_str(), config, &custom.mix)];
+    assemble_report(knobs, smoke, custom.descriptor.clone(), &runs)
 }
 
 /// Writes the report to `BENCH_serve.json` in `MAGMA_BENCH_DIR` (default:
@@ -368,6 +319,7 @@ pub fn write_bench_json(report: &ServeReport) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use magma_platform::settings::ScenarioOverrides;
 
     fn tiny_knobs() -> ServeKnobs {
         ServeKnobs {
@@ -461,15 +413,10 @@ mod tests {
         assert!(report.baseline_scenarios.iter().all(|s| !s.overlap));
         assert_eq!(report.comparison.len(), report.scenarios.len());
         report.validate().expect("a freshly assembled report must self-check");
-        // The accessors pick the right ladders.
-        assert!(report.overlap_scenarios().iter().all(|s| s.overlap));
-        assert!(report.legacy_scenarios().iter().all(|s| !s.overlap));
-        // A knob-flipped report keeps the same two ladders, swapped.
-        let flipped = run_standard_scenarios(&ServeKnobs { overlap: false, ..tiny_knobs() }, true);
-        flipped.validate().expect("legacy-primary report must self-check too");
-        assert!(!flipped.primary_overlap);
-        assert_eq!(flipped.overlap_scenarios(), report.overlap_scenarios());
-        assert_eq!(flipped.legacy_scenarios(), report.legacy_scenarios());
+        // A report claiming a legacy primary ladder fails the self-check.
+        let mut flipped = report.clone();
+        flipped.primary_overlap = false;
+        assert!(flipped.validate().is_err());
     }
 
     #[test]
@@ -502,13 +449,11 @@ mod tests {
             scenario: Scenario::Poisson,
             mix: TenantMix::standard(),
             platform: PlatformSpec::Setting(Setting::S1),
-            requests: Some(32),
-            offered_load: None,
-            seed: Some(9),
-            cache_epsilon: None,
-            refine_budget: None,
-            quant_step: None,
-            sla_x: None,
+            overrides: ScenarioOverrides {
+                requests: Some(32),
+                seed: Some(9),
+                ..ScenarioOverrides::default()
+            },
             descriptor,
         };
         let report = run_custom_scenario(&knobs, true, &custom);
@@ -532,16 +477,15 @@ mod tests {
             scenario: Scenario::Poisson,
             mix: TenantMix::standard(),
             platform: PlatformSpec::Setting(Setting::S1),
-            requests: Some(16),
-            offered_load: None,
-            seed: None,
-            cache_epsilon: Some(2.5),
-            refine_budget: Some(7),
-            quant_step: None,
-            sla_x: None,
+            overrides: ScenarioOverrides {
+                requests: Some(16),
+                cache_epsilon: Some(2.5),
+                refine_budget: Some(7),
+                ..ScenarioOverrides::default()
+            },
             descriptor,
         };
-        let effective = custom.apply_serving(&knobs);
+        let effective = knobs.with_overrides(&custom.overrides);
         assert_eq!(effective.cache_epsilon, 2.5);
         assert_eq!(effective.refine_budget, 7);
         assert_eq!(effective.quant_step, knobs.quant_step, "unpinned knob inherits");

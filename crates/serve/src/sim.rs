@@ -21,8 +21,8 @@
 //!
 //! # Overlap vs legacy mode
 //!
-//! The simulator runs in one of two modes ([`SimConfig::overlap`], knob
-//! `MAGMA_SERVE_OVERLAP`, default on). In both, the search advances in
+//! The simulator runs in one of two modes ([`SimConfig::overlap`], default
+//! on; the serving report always simulates both). In both, the search advances in
 //! [`SimConfig::search_slice`]-sample slices, and the mapper clock reads
 //! `start + samples since start × overhead`, recomputed from cumulative
 //! samples so the slice size changes no metric.
@@ -88,7 +88,7 @@ pub struct SimConfig {
     pub search_slice: usize,
     /// Search budgets and cache geometry.
     pub dispatch: DispatchConfig,
-    /// Mapping-cache persistence file (`MAGMA_SERVE_CACHE_PATH`): loaded —
+    /// Mapping-cache persistence file (`ServeKnobs::cache_path`): loaded —
     /// if present — before the run, saved back after it, so a restarted
     /// simulator starts warm. `None` keeps the cache in-memory only.
     pub cache_path: Option<std::path::PathBuf>,
@@ -97,7 +97,7 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Builds a config from the `MAGMA_SERVE_*` knob family for a scenario
+    /// Builds an overlap-mode config from the serving knobs for a scenario
     /// on the default platform (S2, the paper's main evaluation setting).
     pub fn from_knobs(knobs: &ServeKnobs, scenario: Scenario) -> Self {
         SimConfig {
@@ -110,7 +110,7 @@ impl SimConfig {
             offered_load: knobs.offered_load,
             sla_x: knobs.sla_x,
             overhead_sec_per_sample: knobs.overhead_us_per_sample * 1e-6,
-            overlap: knobs.overlap,
+            overlap: true,
             search_slice: knobs.search_slice,
             dispatch: DispatchConfig::from_knobs(knobs),
             cache_path: knobs.cache_path.as_ref().map(std::path::PathBuf::from),
@@ -126,7 +126,7 @@ impl SimConfig {
     }
 
     /// This config with cache persistence at `path` (what
-    /// `MAGMA_SERVE_CACHE_PATH` maps to; the warm-restart tests set it
+    /// `ServeKnobs::cache_path` maps to; the warm-restart tests set it
     /// directly).
     pub fn with_cache_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.cache_path = Some(path.into());

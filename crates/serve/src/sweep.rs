@@ -1,8 +1,8 @@
 //! The cache-calibration sweep behind `BENCH_cache.json`.
 //!
-//! The near-hit probe (`MAGMA_SERVE_CACHE_EPSILON`), the refinement budget
-//! (`MAGMA_SERVE_REFINE_BUDGET`) and the key quantization step
-//! (`MAGMA_SERVE_QUANT`) trade hit rate against hit quality: a looser
+//! The near-hit probe (`ServeKnobs::cache_epsilon`), the refinement budget
+//! (`ServeKnobs::refine_budget`) and the key quantization step
+//! (`ServeKnobs::quant_step`) trade hit rate against hit quality: a looser
 //! epsilon or coarser key catches more traffic but adapts from
 //! less-matching solutions. This module sweeps that grid on the standard
 //! Poisson mix trace and emits a schema-stable report ([`CACHE_SCHEMA`])
@@ -407,18 +407,11 @@ pub fn run_cache_sweep_custom(
     profile_ab: bool,
     custom: &CustomScenario,
 ) -> CacheSweepReport {
-    let knobs = &custom.apply_serving(knobs);
-    let mut template = SimConfig::from_knobs(knobs, custom.scenario);
-    template.platform = custom.platform.clone();
-    if let Some(requests) = custom.requests {
-        template.requests = requests;
-    }
-    if let Some(load) = custom.offered_load {
-        template.offered_load = load;
-    }
-    if let Some(seed) = custom.seed {
-        template.seed = seed;
-    }
+    let knobs = &knobs.with_overrides(&custom.overrides);
+    let template = SimConfig {
+        platform: custom.platform.clone(),
+        ..SimConfig::from_knobs(knobs, custom.scenario)
+    };
     run_sweep_inner(knobs, smoke, profile_ab, &template, &custom.mix, custom.descriptor.clone())
 }
 

@@ -107,7 +107,6 @@ fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
             refine_budget: 4,
             cache_capacity: 12,
             offered_load: 12.0,
-            overlap: true,
             search_slice,
             seed: 7,
             ..ServeKnobs::smoke()

@@ -192,7 +192,7 @@ fn generated_scenario_runs_end_to_end() {
     assert_eq!(report.scenarios.len(), 1);
     assert_eq!(report.scenarios[0].metrics.jobs, 16);
     // The generated scenario pinned its offered load (0.7) in the file.
-    let resolved_load = resolved.offered_load.expect("steady profile pins its load");
+    let resolved_load = resolved.overrides.offered_load.expect("steady profile pins its load");
     assert!((resolved_load - 0.7).abs() < 1e-12);
 }
 

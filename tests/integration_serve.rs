@@ -85,7 +85,7 @@ fn different_seeds_produce_different_reports() {
 fn acceptance_criterion_holds_on_the_repeated_tenant_trace() {
     let report = with_threads(4, || run_standard_scenarios(&test_knobs(), true));
     // The cache economics hold in both serving modes.
-    for ladder in [report.overlap_scenarios(), report.legacy_scenarios()] {
+    for ladder in [&report.scenarios, &report.baseline_scenarios] {
         let repeat = repeated_tenant(ladder);
         let d = &repeat.metrics.dispatch;
         assert!(d.hits > 0, "repeated-tenant windows must recur in the cache: {d:?}");
@@ -107,8 +107,8 @@ fn acceptance_criterion_holds_on_the_repeated_tenant_trace() {
 #[test]
 fn overlap_mode_beats_legacy_end_to_end_on_the_repeated_tenant_trace() {
     let report = with_threads(2, || run_standard_scenarios(&test_knobs(), true));
-    let overlap = repeated_tenant(report.overlap_scenarios());
-    let legacy = repeated_tenant(report.legacy_scenarios());
+    let overlap = repeated_tenant(&report.scenarios);
+    let legacy = repeated_tenant(&report.baseline_scenarios);
     assert!(
         overlap.metrics.end_to_end.mean_sec < legacy.metrics.end_to_end.mean_sec,
         "overlap mean e2e {} must be strictly below legacy {}",
@@ -125,7 +125,7 @@ fn overlap_mode_beats_legacy_end_to_end_on_the_repeated_tenant_trace() {
     report.validate().expect("self-check");
 }
 
-/// The warm-restart contract of `MAGMA_SERVE_CACHE_PATH`: a run persists
+/// The warm-restart contract of `ServeKnobs::cache_path`: a run persists
 /// its mapping cache, a restart loads it and serves strictly more hits than
 /// the cold run did — and two restarts from the same persisted file are
 /// bit-identical whatever `MAGMA_THREADS` says.
