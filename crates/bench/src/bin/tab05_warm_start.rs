@@ -7,30 +7,18 @@
 //! size: 100 epochs of one population each), `MAGMA_SEED`, `MAGMA_THREADS`
 //! (evaluation worker threads, default: all cores — changes wall-clock only,
 //! never results), `MAGMA_FULL_SCALE=1` (paper scale, 4 warm-started
-//! instances), and
-//! `MAGMA_WARMSTART_MODE=index` to reproduce the index-wrapped adaptation
-//! baseline instead of the default profile-matched transfer (Section V-C).
+//! instances), and `MAGMA_WARMSTART_MODE=index` to reproduce the
+//! index-wrapped adaptation baseline instead of the default profile-matched
+//! transfer (Section V-C). An unknown mode or an unparsable scale knob exits
+//! with status 2, naming the variable.
 
 use magma::experiments::warm_start_study_with_mode;
 use magma::prelude::*;
-use magma_bench::{banner, dump_json, Scale};
+use magma_bench::{banner, dump_json, warm_start_mode_from_env, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let mode = match std::env::var("MAGMA_WARMSTART_MODE") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "index" | "index-wrap" | "indexwrap" => WarmStartMode::IndexWrap,
-            "profile" | "profile-matched" | "profilematched" => WarmStartMode::ProfileMatched,
-            other => {
-                eprintln!(
-                    "warning: unknown MAGMA_WARMSTART_MODE '{other}' \
-                     (expected 'index' or 'profile'); using profile-matched"
-                );
-                WarmStartMode::ProfileMatched
-            }
-        },
-        Err(_) => WarmStartMode::ProfileMatched,
-    };
+    let mode = warm_start_mode_from_env();
     banner(&format!("Table V — warm-start of MAGMA (Mix, S4, BW=1 GB/s, {mode})"), &scale);
 
     let instances = if scale.full { 4 } else { 2 };

@@ -17,7 +17,6 @@
 //! | `fig16_operator_ablation` | Fig. 16 — GA operator ablation |
 //! | `fig17_group_size` | Fig. 17 — group-size sweep |
 //! | `tab05_warm_start` | Table V — warm-start transfer |
-//! | `perf_suite` | not a paper artefact — the parallel-evaluation perf harness behind `BENCH_parallel_eval.json` (see [`perf`]) |
 //! | `serve_sim` | not a paper artefact — the online multi-tenant serving simulator behind `BENCH_serve.json` (`magma-serve`) |
 //!
 //! By default the binaries run at a *reduced* scale so they finish in seconds
@@ -31,10 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
-pub mod perf;
-
 use magma::experiments::MethodScore;
+use magma::prelude::WarmStartMode;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -58,8 +55,8 @@ pub struct Scale {
 
 impl Scale {
     /// Reads the scale from the environment (see [`Scale::parse`]). An
-    /// unparsable `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED` exits
-    /// with status 2, naming the variable.
+    /// unparsable `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED` /
+    /// `MAGMA_THREADS` exits with status 2, naming the variable.
     pub fn from_env() -> Self {
         let threads = magma::platform::settings::magma_threads();
         Scale::parse(threads, |name| std::env::var(name).ok()).unwrap_or_else(|e| exit_usage(&e))
@@ -67,9 +64,21 @@ impl Scale {
 
     /// Pure core of [`Scale::from_env`] over a variable lookup: paper scale
     /// when `MAGMA_FULL_SCALE=1`, reduced scale otherwise, with per-knob
-    /// overrides via `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED`. A
-    /// set but unparsable override is an error, never a silent default.
+    /// overrides via `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED`, and
+    /// `threads` workers unless `MAGMA_THREADS` sets a positive count. A set
+    /// but unparsable override is an error, never a silent default.
     pub fn parse(threads: usize, var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let threads = match var("MAGMA_THREADS") {
+            None => threads,
+            Some(v) => match v.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                _ => {
+                    return Err(format!(
+                        "MAGMA_THREADS={v:?} is not a positive integer; unset it or fix the value"
+                    ))
+                }
+            },
+        };
         let full = var("MAGMA_FULL_SCALE").is_some_and(|v| v == "1");
         let (group_size, budget) = if full { (100, 10_000) } else { (30, 1_000) };
         let knob = |name: &str, default: u64| -> Result<u64, String> {
@@ -87,6 +96,27 @@ impl Scale {
             seed: knob("MAGMA_SEED", 0)?,
             threads,
         })
+    }
+}
+
+/// Reads `MAGMA_WARMSTART_MODE` (see [`warm_start_mode`]); an unknown value
+/// exits with status 2, naming the variable.
+pub fn warm_start_mode_from_env() -> WarmStartMode {
+    warm_start_mode(std::env::var("MAGMA_WARMSTART_MODE").ok().as_deref())
+        .unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Pure core of [`warm_start_mode_from_env`]: unset is profile-matched;
+/// `index` / `index-wrap` / `indexwrap` and `profile` / `profile-matched` /
+/// `profilematched` (any case) pick a mode; anything else is an error.
+pub fn warm_start_mode(raw: Option<&str>) -> Result<WarmStartMode, String> {
+    let Some(v) = raw else { return Ok(WarmStartMode::ProfileMatched) };
+    match v.trim().to_ascii_lowercase().as_str() {
+        "index" | "index-wrap" | "indexwrap" => Ok(WarmStartMode::IndexWrap),
+        "profile" | "profile-matched" | "profilematched" => Ok(WarmStartMode::ProfileMatched),
+        _ => Err(format!(
+            "MAGMA_WARMSTART_MODE={v:?} is not 'index' or 'profile'; unset it or fix the value"
+        )),
     }
 }
 
@@ -332,16 +362,34 @@ mod tests {
             over.unwrap(),
             Scale { full: false, group_size: 8, budget: 1_000, seed: 5, threads: 2 }
         );
+        let threads = Scale::parse(2, env(&[("MAGMA_THREADS", " 3 ")])).unwrap();
+        assert_eq!(threads.threads, 3);
         // A typo'd value is an error naming the variable, never a default.
         for (name, bad) in [
             ("MAGMA_GROUP_SIZE", "8x"),
             ("MAGMA_BUDGET", "1e3"),
             ("MAGMA_SEED", "-1"),
             ("MAGMA_BUDGET", ""),
+            ("MAGMA_THREADS", "two"),
+            ("MAGMA_THREADS", "0"),
+            ("MAGMA_THREADS", ""),
         ] {
             let err = Scale::parse(1, |n| (n == name).then(|| bad.to_string())).unwrap_err();
             assert!(err.contains(name), "{err}");
         }
+    }
+
+    #[test]
+    fn warm_start_mode_parses_strictly() {
+        assert_eq!(warm_start_mode(None), Ok(WarmStartMode::ProfileMatched));
+        for raw in ["index", "Index-Wrap", " indexwrap "] {
+            assert_eq!(warm_start_mode(Some(raw)), Ok(WarmStartMode::IndexWrap), "{raw}");
+        }
+        for raw in ["profile", "PROFILE-MATCHED", "profilematched"] {
+            assert_eq!(warm_start_mode(Some(raw)), Ok(WarmStartMode::ProfileMatched), "{raw}");
+        }
+        let err = warm_start_mode(Some("nearest")).unwrap_err();
+        assert!(err.contains("MAGMA_WARMSTART_MODE"), "{err}");
     }
 
     const ALL: &[Flag] = &[Flag::Requests, Flag::Addr, Flag::CachePath];

@@ -92,9 +92,9 @@ impl LaunchCost {
 /// proptests lock this). Cloning an evaluator clones the memo *with* its
 /// filled cells, so warm state survives `M3e` clones.
 ///
-/// Built by [`FitnessEvaluator::new`] unless the `MAGMA_MEMO` knob opts out
-/// (see `magma_platform::settings::magma_memo`);
-/// [`FitnessEvaluator::with_memoization`] overrides explicitly for A/B runs.
+/// Always built by [`FitnessEvaluator::new`];
+/// [`FitnessEvaluator::with_memoization`] switches it off for the A/B
+/// reference path.
 #[derive(Debug, Clone, Default)]
 pub struct CostMemo {
     /// `cells[job * num_accels + accel]`.
@@ -141,28 +141,23 @@ pub struct FitnessEvaluator {
 
 impl FitnessEvaluator {
     /// Creates an evaluator from an analysis table, the system-bandwidth
-    /// constraint and the objective. Launch-cost memoization follows the
-    /// `MAGMA_MEMO` knob (default on); use
-    /// [`FitnessEvaluator::with_memoization`] to pin it explicitly.
+    /// constraint and the objective, with launch-cost memoization on; use
+    /// [`FitnessEvaluator::with_memoization`] to switch it off.
     ///
     /// # Panics
     ///
     /// Panics if `system_bw_gbps` is not positive.
     pub fn new(table: JobAnalysisTable, system_bw_gbps: f64, objective: Objective) -> Self {
         assert!(system_bw_gbps > 0.0, "system bandwidth must be positive");
-        let evaluator = FitnessEvaluator {
-            table,
-            system_bw_gbps,
-            objective,
-            allocator: BwAllocator::new(),
-            memo: None,
-        };
-        evaluator.with_memoization(magma_platform::settings::magma_memo())
+        let allocator = BwAllocator::new();
+        FitnessEvaluator { table, system_bw_gbps, objective, allocator, memo: None }
+            .with_memoization(true)
     }
 
     /// Returns the evaluator with per-(job, core) launch-cost memoization
-    /// switched on (a fresh, empty memo) or off, overriding the `MAGMA_MEMO`
-    /// knob. Results are bit-identical either way; this is the A/B lever.
+    /// switched on (a fresh, empty memo) or off. Results are bit-identical
+    /// either way; the unmemoized path is the reference the A/B tests check
+    /// the memo against.
     pub fn with_memoization(mut self, memoize: bool) -> Self {
         self.memo = memoize.then(|| CostMemo::new(self.table.num_jobs(), self.table.num_accels()));
         self
@@ -291,7 +286,6 @@ mod tests {
 
     #[test]
     fn memoization_defaults_on_and_is_overridable() {
-        // Ambient environment never sets MAGMA_MEMO → default on.
         let ev = evaluator(Objective::Throughput);
         assert!(ev.memoized());
         let off = ev.with_memoization(false);

@@ -2,9 +2,9 @@
 //!
 //! Each function regenerates the data behind one figure or table. The
 //! functions are parameterized by group size and sampling budget so the
-//! Criterion benches and the unit tests can run them at reduced scale, while
-//! the binaries in `magma-bench` run them at the paper's scale (group size
-//! 100, 10 K samples).
+//! unit and integration tests can run them at reduced scale, while the
+//! binaries in `magma-bench` run them at the paper's scale (group size 100,
+//! 10 K samples).
 //!
 //! | Paper artefact | Function |
 //! |---|---|
@@ -26,9 +26,9 @@
 //! the dominant cost of every figure — fans out over `MAGMA_THREADS` worker
 //! threads (default: all available cores). The knob only changes wall-clock
 //! time: results are bit-identical at every thread count, which
-//! `tests/integration_parallel.rs` asserts per optimizer. The perf harness
-//! (`magma-bench`'s `perf_suite` binary) records the achieved
-//! evaluations/sec per thread count in `BENCH_parallel_eval.json`.
+//! `tests/integration_parallel.rs` asserts per optimizer. Wall-clock speed
+//! is measured by `perfbench` (its `offline-map` workload runs MAGMA
+//! searches end to end), and CI gates its 2-thread speedup over serial.
 
 use magma_cost::{CostModel, DataflowStyle, SubAccelConfig};
 use magma_m3e::{M3e, Objective, WarmStartEngine, WarmStartMode};

@@ -30,9 +30,9 @@
 //!
 //! The worker count comes from, in order:
 //!
-//! 1. an active [`with_threads`] override on the calling thread (used by the
-//!    determinism tests and the perf harness, which must pin the count
-//!    without touching the process environment), then
+//! 1. an active [`with_threads`] override on the calling thread (used only
+//!    by the determinism tests, which must pin the count without touching
+//!    the process environment), then
 //! 2. the `MAGMA_THREADS` environment knob via
 //!    [`magma_platform::settings::magma_threads`], defaulting to the
 //!    machine's available parallelism.
@@ -54,6 +54,9 @@ thread_local! {
 /// Runs `f` with the batch-evaluation worker count pinned to `threads` on
 /// the current thread (nested calls shadow outer ones; the previous value is
 /// restored afterwards, also on panic).
+///
+/// For tests: the determinism suites pin worker counts with it. Binaries and
+/// the benchmark set `MAGMA_THREADS` instead.
 ///
 /// A `threads` of zero is treated as one. Worker threads spawned *inside*
 /// the pool never re-enter the pool, so the override does not need to
@@ -98,8 +101,8 @@ impl<P: MappingProblem + ?Sized> BatchEvaluator for P {
 }
 
 /// Evaluates `mappings` with an explicit worker count, returning fitnesses
-/// in input order (the perf harness measures this function at 1..N threads;
-/// everything else should go through [`BatchEvaluator::evaluate_batch`]).
+/// in input order (the determinism tests pin counts through it; everything
+/// else should go through [`BatchEvaluator::evaluate_batch`]).
 ///
 /// Counts of one, batches of fewer than two mappings, and calls from inside
 /// a pool chunk (nested batches) evaluate serially on the calling thread;
@@ -111,15 +114,6 @@ pub fn evaluate_batch_with<P: MappingProblem + ?Sized>(
     threads: usize,
 ) -> Vec<f64> {
     crate::pool::evaluate(problem, mappings, threads)
-}
-
-/// A short stable tag describing how parallel batches are executed, stamped
-/// into the `magma-perf/v2` report (`pool_mode`) so every committed
-/// `BENCH_parallel_eval.json` names the machinery that produced it. Changes
-/// when (and only when) the execution strategy changes: PR 3's per-batch
-/// `thread::scope` would have reported `scoped-spawn`.
-pub fn pool_mode() -> &'static str {
-    "persistent-work-stealing"
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! The schema-stable serving report behind `BENCH_serve.json`.
 //!
-//! Mirrors the contract of `magma-bench`'s `BENCH_parallel_eval.json`
-//! ([`SCHEMA`] is a versioned tag; fields are only ever added, with a
-//! version bump, never renamed or removed) so trend tooling can diff serving
+//! [`SCHEMA`] is a versioned tag; fields are only ever added, with a version
+//! bump, never renamed or removed, so trend tooling can diff serving
 //! profiles across commits. The report is purely virtual-clock — it contains
 //! **no wall-clock measurements and no thread counts** — which is what makes
 //! the determinism suite's bit-identical-JSON assertion possible across

@@ -88,23 +88,36 @@ fn oversubscribed_worker_count_is_identical_too() {
 
 /// The raw batch oracle agrees with the serial oracle bit-for-bit on a real
 /// problem, at every worker count and through the trait-object path the
-/// optimizers use.
+/// optimizers use; and on figure-scale batches (group 30, 256 mappings) of
+/// the Fig. 8 / Fig. 9 instances at 1, 2, 4 and 8 workers.
 #[test]
 fn evaluate_batch_matches_serial_oracle_on_real_problem() {
+    let assert_matches = |p: &M3e, pop: &[Mapping], counts: &[usize]| {
+        let serial: Vec<f64> = pop.iter().map(|m| p.evaluate(m)).collect();
+        for &threads in counts {
+            let batch = evaluate_batch_with(p, pop, threads);
+            assert_eq!(batch.len(), serial.len());
+            for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
+                assert_eq!(b.to_bits(), s.to_bits(), "mapping {i} at {threads} threads");
+            }
+        }
+        serial
+    };
     let p = problem(Setting::S4, TaskType::Mix, None, 16, 3);
     let mut rng = StdRng::seed_from_u64(5);
     let pop: Vec<Mapping> = (0..33).map(|_| Mapping::random(&mut rng, 16, 8)).collect();
-    let serial: Vec<f64> = pop.iter().map(|m| p.evaluate(m)).collect();
-    for threads in [1, 2, 3, 4, 16] {
-        let batch = evaluate_batch_with(&p, &pop, threads);
-        assert_eq!(batch.len(), serial.len());
-        for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
-            assert_eq!(b.to_bits(), s.to_bits(), "mapping {i} at {threads} threads");
-        }
-    }
+    let serial = assert_matches(&p, &pop, &[1, 2, 3, 4, 16]);
     let dynamic: &dyn MappingProblem = &p;
     let via_trait = with_threads(4, || dynamic.evaluate_batch(&pop));
     assert_eq!(via_trait, serial);
+
+    for (setting, bw) in [(Setting::S1, 16.0), (Setting::S2, 16.0), (Setting::S4, 256.0)] {
+        let p = problem(setting, TaskType::Mix, Some(bw), 30, 0);
+        let accels = p.platform().num_sub_accels();
+        let mut rng = StdRng::seed_from_u64(0);
+        let pop: Vec<Mapping> = (0..256).map(|_| Mapping::random(&mut rng, 30, accels)).collect();
+        assert_matches(&p, &pop, &[1, 2, 4, 8]);
+    }
 }
 
 /// The warm-start path (seeded initial population) keeps the guarantee:
